@@ -1,39 +1,7 @@
-"""Double-flow self-distillation for multimodal valence regression with missing text."""
+"""Double-flow self-distillation for multimodal valence regression with missing text.
 
-from .tensor import (
-    DomainError,
-    GradMap,
-    ShapeError,
-    Tensor,
-    apply_primitive,
-    backward,
-    grad_check,
-)
-from .nn import AdamState, AffineLayer, MLP, ParamStore, adam_step
-from .fusion import FlowOutputs, ModelConfig, init_model, umca_forward
-from .imagination import MIAParams, mia_forward
-from .losses import LossReport, LossWeights, rnc_loss, rnc_oracle
-from .data import Dataset, SynthConfig, generate_dataset, load_dataset, save_dataset
-from .training import (
-    AblationSpec,
-    Checkpoint,
-    TrainConfig,
-    evaluate,
-    fit,
-    performance_gap,
-    run_ablation,
-    similarity_matrix,
-)
-from .config import RunConfig, load_config
-
-__all__ = [
-    "AblationSpec", "AdamState", "AffineLayer", "Checkpoint", "Dataset", "DomainError",
-    "FlowOutputs", "GradMap", "LossReport", "LossWeights", "MIAParams", "MLP",
-    "ModelConfig", "ParamStore", "RunConfig", "ShapeError", "SynthConfig", "Tensor",
-    "TrainConfig", "adam_step", "apply_primitive", "backward", "evaluate", "fit",
-    "generate_dataset", "grad_check", "init_model", "load_config", "load_dataset",
-    "mia_forward", "performance_gap", "rnc_loss", "rnc_oracle", "run_ablation",
-    "save_dataset", "similarity_matrix", "umca_forward",
-]
+The Python API lives in the submodules (modalflow.training, modalflow.data,
+modalflow.config, ...); the package root re-exports nothing.
+"""
 
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ from .config import ConfigError, load_config, write_config_echo
 from .data import DatasetError, generate_dataset, load_dataset, save_dataset
 from .training import (
     DEFAULT_ABLATION_GRID,
+    MODES,
     evaluate,
     fit,
     load_checkpoint,
@@ -48,7 +49,7 @@ def build_parser():
     p = sub.add_parser("eval", help="evaluate a checkpoint; prints 'MAE=<float> ACC=<float>'")
     p.add_argument("--checkpoint", required=True, help="run or checkpoint directory")
     p.add_argument("--data", required=True)
-    p.add_argument("--mode", choices=("complete", "missing"), default="complete")
+    p.add_argument("--mode", choices=MODES, default="complete")
     p.add_argument("--split", default="test")
     p.set_defaults(func=cmd_eval)
 

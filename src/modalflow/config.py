@@ -40,10 +40,14 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self):
-        # the loss section is the single source for weights; train carries them
+        # the loss and eval sections are the single sources for the weights and
+        # the accuracy rule; train carries copies because checkpoints store them
         self.train.weights = self.loss
         self.train.eval_acc_rule = self.eval.acc_rule
 
+
+# train fields owned by other sections; not settable or echoed under train
+_TRAIN_OWNED_ELSEWHERE = ("weights", "eval_acc_rule")
 
 _SECTIONS = {
     "synth": SynthConfig,
@@ -57,7 +61,7 @@ _SECTIONS = {
 def _build_section(name, cls, data):
     allowed = {f.name for f in fields(cls)}
     if name == "train":
-        allowed.discard("weights")  # owned by the loss section
+        allowed.difference_update(_TRAIN_OWNED_ELSEWHERE)
     for key in data:
         if key not in allowed:
             raise ConfigError(f"unknown key '{name}.{key}'")
@@ -120,7 +124,8 @@ def apply_overrides(raw, overrides):
 
 def config_to_dict(cfg):
     out = {name: asdict(getattr(cfg, name)) for name in _SECTIONS}
-    out["train"].pop("weights", None)
+    for key in _TRAIN_OWNED_ELSEWHERE:
+        out["train"].pop(key)
     return out
 
 

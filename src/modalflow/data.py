@@ -163,11 +163,6 @@ def generate_dataset(config):
     }
 
 
-def degradation_mix(config):
-    """The fixed audio->text contamination map used by this config's generator."""
-    return _latent_maps(config)[2]
-
-
 # -- persistence ----------------------------------------------------------------
 
 

@@ -165,12 +165,10 @@ def total_loss(task, weights, mkd1=None, mkd2=None, rs=None, rnc=None):
     return total
 
 
-def make_report(task, weights, mkd1=None, mkd2=None, rs=None, rnc=None):
-    """Per-term float report; total satisfies the Eq-style weighted-sum identity."""
+def make_report(total, task, mkd1=None, mkd2=None, rs=None, rnc=None):
+    """Per-term float report; `total` is the graph's weighted sum from total_loss."""
 
     def val(t):
-        return 0.0 if t is None else (t.item() if isinstance(t, Tensor) else float(t))
+        return 0.0 if t is None else t.item()
 
-    t, m1, m2, r, rn = val(task), val(mkd1), val(mkd2), val(rs), val(rnc)
-    total = t + weights.alpha * m1 + weights.beta * m2 + weights.gamma * r + weights.delta * rn
-    return LossReport(task=t, mkd1=m1, mkd2=m2, rs=r, rnc=rn, total=total)
+    return LossReport(task=val(task), mkd1=val(mkd1), mkd2=val(mkd2), rs=val(rs), rnc=val(rnc), total=total.item())

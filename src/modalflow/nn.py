@@ -10,8 +10,6 @@ from .tensor import GradMap, Tensor
 
 INIT_STD = 0.02
 
-_ACTIVATIONS = ("tanh", "relu", "identity")
-
 
 class ParamStore(dict):
     """Named map from parameter path to leaf Tensor; insertion-ordered."""
@@ -23,10 +21,6 @@ class ParamStore(dict):
             raise ValueError(f"parameter '{name}' must have requires_grad=True")
         self[name] = tensor
         return tensor
-
-    def detached(self):
-        """Read-only snapshot: same values, no gradient tracking."""
-        return {name: t.detach() for name, t in self.items()}
 
     def snapshot(self):
         """Deep value copy, for checkpointing."""
@@ -63,35 +57,6 @@ class AffineLayer:
         return x @ self.W + self.b
 
 
-@dataclass
-class MLP:
-    layers: list
-    activations: list
-
-    def __post_init__(self):
-        if len(self.layers) != len(self.activations):
-            raise ValueError("mlp: one activation per layer required")
-        for act in self.activations:
-            if act not in _ACTIVATIONS:
-                raise ValueError(f"mlp: unknown activation '{act}'")
-        for a, b in zip(self.layers, self.layers[1:]):
-            if a.out_dim != b.in_dim:
-                raise ValueError(f"mlp: layer dims do not chain ({a.out_dim} -> {b.in_dim})")
-
-    def __call__(self, x):
-        for layer, act in zip(self.layers, self.activations):
-            x = layer(x)
-            if act == "tanh":
-                x = x.tanh()
-            elif act == "relu":
-                x = x.relu()
-        return x
-
-
-def mlp_forward(mlp, x):
-    return mlp(x)
-
-
 def gaussian_leaf(rng, shape, std=INIT_STD):
     shape = tuple(int(s) for s in shape)
     if any(s <= 0 for s in shape):
@@ -110,15 +75,6 @@ def init_affine(rng, store, prefix, in_dim, out_dim):
     W = store.register(f"{prefix}.W", gaussian_leaf(rng, (in_dim, out_dim)))
     b = store.register(f"{prefix}.b", zeros_leaf((out_dim,)))
     return AffineLayer(W, b)
-
-
-def init_mlp(rng, store, prefix, dims, activations):
-    """dims = [in, h1, ..., out]; weights ~ N(0, 0.02^2), zero biases."""
-    layers = [
-        init_affine(rng, store, f"{prefix}.{i}", din, dout)
-        for i, (din, dout) in enumerate(zip(dims, dims[1:]))
-    ]
-    return MLP(layers, list(activations))
 
 
 @dataclass

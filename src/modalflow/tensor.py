@@ -282,20 +282,6 @@ def reshape(a, shape):
     return _result("reshape", a.values.reshape(shape), (a,), bwd)
 
 
-def broadcast_to(a, shape):
-    a = _lift(a)
-    shape = tuple(int(s) for s in shape)
-    try:
-        out = np.broadcast_to(a.values, shape).copy()
-    except ValueError:
-        raise ShapeError(f"broadcast: {a.shape} does not broadcast to {shape}") from None
-
-    def bwd(g):
-        return (_unbroadcast(g, a.shape),)
-
-    return _result("broadcast", out, (a,), bwd)
-
-
 def concat(tensors, axis):
     tensors = [_lift(t) for t in tensors]
     if not tensors:
@@ -452,44 +438,6 @@ def _normalize_axes(a, axis):
     return tuple(int(ax) % a.ndim for ax in axis)
 
 
-# -- primitive registry --------------------------------------------------------
-
-_PRIMITIVES = {
-    "matmul": lambda ops, attrs: matmul(*ops),
-    "transpose": lambda ops, attrs: transpose(ops[0], axes=attrs.get("axes")),
-    "add": lambda ops, attrs: add(*ops),
-    "sub": lambda ops, attrs: sub(*ops),
-    "mul": lambda ops, attrs: mul(*ops),
-    "div": lambda ops, attrs: div(*ops),
-    "scale": lambda ops, attrs: scale(ops[0], attrs["factor"]),
-    "concat": lambda ops, attrs: concat(ops, attrs["axis"]),
-    "slice": lambda ops, attrs: narrow(ops[0], attrs["axis"], attrs["start"], attrs["stop"]),
-    "tanh": lambda ops, attrs: tanh(ops[0]),
-    "relu": lambda ops, attrs: relu(ops[0]),
-    "softmax": lambda ops, attrs: softmax(ops[0], axis=attrs.get("axis", -1), tau=attrs.get("tau", 1.0)),
-    "exp": lambda ops, attrs: exp(ops[0]),
-    "log": lambda ops, attrs: log(ops[0]),
-    "sqrt": lambda ops, attrs: sqrt(ops[0]),
-    "square": lambda ops, attrs: square(ops[0]),
-    "sum": lambda ops, attrs: reduce_sum(ops[0], axis=attrs.get("axis"), keepdims=attrs.get("keepdims", False)),
-    "mean": lambda ops, attrs: reduce_mean(ops[0], axis=attrs.get("axis"), keepdims=attrs.get("keepdims", False)),
-    "broadcast": lambda ops, attrs: broadcast_to(ops[0], attrs["shape"]),
-    "reshape": lambda ops, attrs: reshape(ops[0], attrs["shape"]),
-}
-
-
-def apply_primitive(kind, operands, **attrs):
-    """Dispatch a primitive by name; the uniform entry point over the op set."""
-    try:
-        fn = _PRIMITIVES[kind]
-    except KeyError:
-        raise ValueError(f"unknown primitive '{kind}'") from None
-    return fn([_lift(t) for t in operands], attrs)
-
-
-PRIMITIVE_KINDS = tuple(sorted(_PRIMITIVES))
-
-
 # -- backward pass --------------------------------------------------------------
 
 
@@ -511,12 +459,6 @@ class GradMap:
 
     def __contains__(self, tensor):
         return id(tensor) in self._grads
-
-    def __len__(self):
-        return len(self._grads)
-
-    def tensors(self):
-        return [t for t, _ in self._grads.values()]
 
 
 def backward(loss):

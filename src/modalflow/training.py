@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import batch_iter
-from .fusion import ModelConfig, init_model, param_views, project_modality, umca_forward
+from .fusion import MODALITIES, ModelConfig, init_model, param_views, project_modality, umca_forward
 from .losses import LossWeights, make_report, mkd_loss, rnc_loss, rs_loss, task_loss, total_loss
 from .nn import AdamState, adam_step
 from .tensor import Tensor, backward, concat
@@ -67,12 +67,6 @@ class AblationSpec:
     use_rs: bool = True
     use_rnc: bool = True
 
-    def tag(self):
-        bits = []
-        for name in ("use_sim_text", "use_mia", "use_mkd", "use_rs", "use_rnc"):
-            bits.append(name[4:] if getattr(self, name) else f"no_{name[4:]}")
-        return "-".join(bits)
-
 
 @dataclass
 class Checkpoint:
@@ -87,9 +81,23 @@ class Checkpoint:
 
 # -- forward flows -----------------------------------------------------------------
 
+MODES = ("complete", "missing")
 
-def _project_all(params_view, raws):
-    return {m: project_modality(Tensor(raws[m]), m, params_view) for m in ("a", "v", "t")}
+
+def _flow(batch, umca, mia, mode, ablation):
+    """One forward pass in one inference mode; the only place the two modes differ.
+
+    complete: real text, imagination off. missing: simulated text (zeros when
+    use_sim_text is off), imagination gated by `mia` unless use_mia is off.
+    """
+    if mode == "complete":
+        text, gate = batch.text, None
+    else:
+        text = batch.sim_text if ablation.use_sim_text else np.zeros_like(batch.sim_text)
+        gate = mia if ablation.use_mia else None
+    raws = {"a": batch.audio, "v": batch.vision, "t": text}
+    E = {m: project_modality(Tensor(raws[m]), m, umca) for m in MODALITIES}
+    return umca_forward(E, umca, mia=gate)
 
 
 def run_double_flow(batch, params, model_config, ablation=None):
@@ -97,19 +105,8 @@ def run_double_flow(batch, params, model_config, ablation=None):
     imagination on unless ablated), over one shared parameter mapping."""
     ablation = ablation or AblationSpec()
     umca, mia1, mia2 = param_views(params, model_config)
-
-    complete = umca_forward(
-        _project_all(umca, {"a": batch.audio, "v": batch.vision, "t": batch.text}), umca
-    )
-    if ablation.use_sim_text:
-        sim_text = batch.sim_text
-    else:
-        sim_text = np.zeros_like(batch.sim_text)
-    gate = (mia1, mia2) if ablation.use_mia else None
-    missing = umca_forward(
-        _project_all(umca, {"a": batch.audio, "v": batch.vision, "t": sim_text}), umca, mia=gate
-    )
-    return complete, missing
+    mia = (mia1, mia2)
+    return _flow(batch, umca, mia, "complete", ablation), _flow(batch, umca, mia, "missing", ablation)
 
 
 def train_step(batch, store, model_config, optimizer, weights, ablation=None):
@@ -131,7 +128,7 @@ def train_step(batch, store, model_config, optimizer, weights, ablation=None):
         rnc = rnc_loss(reps, labels2, weights.tau_rnc)
 
     total = total_loss(task, weights, mkd1=mkd1, mkd2=mkd2, rs=rs, rnc=rnc)
-    report = make_report(task, weights, mkd1=mkd1, mkd2=mkd2, rs=rs, rnc=rnc)
+    report = make_report(total, task, mkd1=mkd1, mkd2=mkd2, rs=rs, rnc=rnc)
     if not np.isfinite(report.total):
         bad = [name for name, v in zip(("task", "mkd1", "mkd2", "rs", "rnc"), report.as_row()) if not np.isfinite(v)]
         raise FloatingPointError(f"train_step: non-finite loss term(s): {', '.join(bad)}")
@@ -145,20 +142,16 @@ def train_step(batch, store, model_config, optimizer, weights, ablation=None):
 
 def _predict(dataset, params_values, model_config, mode, ablation, batch_size=256):
     """Predictions and final representations for one mode, gradient-free."""
-    detached = {name: Tensor(arr) for name, arr in params_values.items()}
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r} (split '{dataset.split}')")
+    if dataset.n < 1:
+        raise ValueError(f"split '{dataset.split}' has no samples to predict")
+    umca, mia1, mia2 = param_views({name: Tensor(arr) for name, arr in params_values.items()}, model_config)
+    mia = (mia1, mia2)
     preds = []
     reps = []
     for batch in batch_iter(dataset, batch_size):
-        umca, mia1, mia2 = param_views(detached, model_config)
-        if mode == "complete":
-            E = _project_all(umca, {"a": batch.audio, "v": batch.vision, "t": batch.text})
-            out = umca_forward(E, umca)
-        elif mode == "missing":
-            text = batch.sim_text if ablation.use_sim_text else np.zeros_like(batch.sim_text)
-            E = _project_all(umca, {"a": batch.audio, "v": batch.vision, "t": text})
-            out = umca_forward(E, umca, mia=(mia1, mia2) if ablation.use_mia else None)
-        else:
-            raise ValueError(f"mode must be 'complete' or 'missing', got {mode!r}")
+        out = _flow(batch, umca, mia, mode, ablation)
         preds.append(out.y_hat.values)
         reps.append(out.r.values)
     return np.concatenate(preds), np.concatenate(reps)
@@ -259,8 +252,9 @@ def fit(datasets, model_config, train_config, ablation=None, out_dir=None):
             n_batches += 1
         means = sums / n_batches
 
-        preds_c, _ = _predict(val, store.snapshot(), model_config, "complete", ablation)
-        preds_m, _ = _predict(val, store.snapshot(), model_config, "missing", ablation)
+        current = {name: t.values for name, t in store.items()}
+        preds_c, _ = _predict(val, current, model_config, "complete", ablation)
+        preds_m, _ = _predict(val, current, model_config, "missing", ablation)
         val_mae_c = float(np.mean(np.abs(val.labels - preds_c)))
         val_mae_m = float(np.mean(np.abs(val.labels - preds_m)))
         history.append(

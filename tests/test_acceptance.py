@@ -32,7 +32,6 @@ from modalflow.nn import AffineLayer
 from modalflow.tensor import (
     Tensor,
     backward,
-    broadcast_to,
     concat,
     grad_check,
     softmax,
@@ -132,7 +131,6 @@ def _grad_cases(rng):
         "concat": lambda: (lambda p: concat(p, axis=1).square().sum(), [t((2, 3)), t((2, 2))]),
         "slice": lambda: (lambda p: p[0].narrow(1, 1, 3).square().sum(), [t((3, 4))]),
         "reshape": lambda: (lambda p: p[0].reshape((4, 3)).tanh().sum(), [t((3, 4))]),
-        "broadcast": lambda: (lambda p: broadcast_to(p[0], (4, 3, 2)).square().sum(), [t((3, 2))]),
         "tanh": lambda: (lambda p: p[0].tanh().sum(), [t((3, 4))]),
         "relu": lambda: (lambda p: p[0].relu().square().sum(), [Tensor(rng.normal(size=(3, 4)) + 0.1)]),
         "exp": lambda: (lambda p: p[0].exp().sum(), [t((3, 4))]),

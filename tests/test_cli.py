@@ -1,10 +1,12 @@
 import json
 import re
 import warnings
+from dataclasses import replace
 
 import pytest
 
 from modalflow.cli import main
+from modalflow.data import load_dataset, save_dataset
 
 TINY = {
     "synth": {
@@ -120,6 +122,14 @@ def test_bad_config_file_exit_code(tmp_path, capsys):
 def test_missing_dataset_exit_code(tmp_path, capsys):
     code = main(["eval", "--checkpoint", str(tmp_path), "--data", str(tmp_path)])
     assert code == 1
+
+
+def test_eval_empty_split_exit_code(workdir, tmp_path, capsys):
+    test = load_dataset(workdir["data"], split="test")
+    save_dataset(replace(test, **{f: a[:0] for f, a in test.tensors().items()}), tmp_path / "empty")
+    code = main(["eval", "--checkpoint", str(workdir["run"]), "--data", str(tmp_path / "empty")])
+    assert code == 1
+    assert "split 'test' has no samples" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code(capsys):

@@ -65,6 +65,11 @@ def test_weights_not_settable_through_train(tmp_path):
         load_config(write(tmp_path, '{"train": {"weights": {}}}'))
 
 
+def test_acc_rule_not_settable_through_train(tmp_path):
+    with pytest.raises(ConfigError, match="train.eval_acc_rule"):
+        load_config(write(tmp_path, "{}"), overrides=["train.eval_acc_rule=sign_nonzero"])
+
+
 def test_invalid_value_rejected_with_section(tmp_path):
     with pytest.raises(ConfigError, match="'loss'"):
         load_config(write(tmp_path, '{"loss": {"delta": -1.0}}'))
@@ -116,3 +121,4 @@ def test_config_to_dict_has_all_sections():
     out = config_to_dict(RunConfig())
     assert set(out) == {"synth", "model", "loss", "train", "eval"}
     assert "weights" not in out["train"]
+    assert "eval_acc_rule" not in out["train"]

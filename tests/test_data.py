@@ -9,7 +9,6 @@ from modalflow.data import (
     DatasetError,
     SynthConfig,
     batch_iter,
-    degradation_mix,
     degrade_text,
     generate_dataset,
     load_dataset,
@@ -157,11 +156,6 @@ def test_degradation_monotonically_decorrelates():
     assert all(a > b for a, b in zip(corrs, corrs[1:]))
     # even at full degradation the audio contamination keeps some shared signal
     assert 0.0 < corrs[-1] < 0.9
-
-
-def test_degradation_mix_shape():
-    cfg = SynthConfig(**SMALL)
-    assert degradation_mix(cfg).shape == (cfg.raw_dim_a, cfg.raw_dim_t)
 
 
 # -- persistence --------------------------------------------------------------------------

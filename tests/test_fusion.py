@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_mia, make_umca, tiny_model_config
+from builders import make_mia, make_umca, tiny_model_config
 from modalflow.fusion import (
     MODALITIES,
     SUBSETS,

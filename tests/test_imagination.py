@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import make_mia
+from builders import make_mia
 from modalflow.imagination import MIAParams, mia_forward
 from modalflow.fusion import init_model
 from modalflow.nn import AdamState, adam_step
 from modalflow.tensor import Tensor, backward, grad_check
 
-from conftest import tiny_model_config
+from builders import tiny_model_config
 
 
 def test_param_shape_validation():

@@ -208,14 +208,16 @@ def test_report_weighted_sum_identity(rng):
     w = LossWeights(alpha=0.3, beta=0.3, gamma=1.0, delta=0.1)
     vals = rng.uniform(0, 2, 5)
     terms = [Tensor(np.array(v)) for v in vals]
-    rep = make_report(terms[0], w, mkd1=terms[1], mkd2=terms[2], rs=terms[3], rnc=terms[4])
+    total = total_loss(terms[0], w, mkd1=terms[1], mkd2=terms[2], rs=terms[3], rnc=terms[4])
+    rep = make_report(total, terms[0], mkd1=terms[1], mkd2=terms[2], rs=terms[3], rnc=terms[4])
     recomputed = rep.task + w.alpha * rep.mkd1 + w.beta * rep.mkd2 + w.gamma * rep.rs + w.delta * rep.rnc
     assert abs(rep.total - recomputed) < 1e-12
     assert rep.as_row() == [rep.task, rep.mkd1, rep.mkd2, rep.rs, rep.rnc, rep.total]
 
 
 def test_report_ablated_terms_read_zero():
-    rep = make_report(Tensor(np.array(2.0)), LossWeights(), rs=Tensor(np.array(0.5)))
+    task, rs = Tensor(np.array(2.0)), Tensor(np.array(0.5))
+    rep = make_report(total_loss(task, LossWeights(), rs=rs), task, rs=rs)
     assert rep.mkd1 == 0.0 and rep.mkd2 == 0.0 and rep.rnc == 0.0
     assert rep.total == pytest.approx(2.0 + LossWeights().gamma * 0.5, abs=1e-15)
     assert isinstance(rep, LossReport)

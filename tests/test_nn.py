@@ -5,12 +5,10 @@ from modalflow.nn import (
     INIT_STD,
     AdamState,
     AffineLayer,
-    MLP,
     ParamStore,
     adam_step,
     gaussian_leaf,
     init_affine,
-    init_mlp,
     zeros_leaf,
 )
 from modalflow.tensor import Tensor, backward, grad_check
@@ -82,55 +80,6 @@ def test_affine_matches_numpy(rng):
 def test_affine_shape_validation():
     with pytest.raises(ValueError, match="affine"):
         AffineLayer(Tensor(np.ones((4, 3))), Tensor(np.ones(4)))
-
-
-def test_mlp_identity_activation_is_affine_chain(rng):
-    store = ParamStore()
-    mlp = init_mlp(rng, store, "m", [4, 3, 2], ["identity", "identity"])
-    x = rng.normal(size=(5, 4))
-    manual = (x @ store["m.0.W"].values + store["m.0.b"].values) @ store["m.1.W"].values + store["m.1.b"].values
-    assert np.max(np.abs(mlp(Tensor(x)).values - manual)) < 1e-14
-
-
-def test_mlp_zero_weights_give_zero_output():
-    layer = AffineLayer(Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
-    mlp = MLP([layer], ["tanh"])
-    out = mlp(Tensor(np.ones((4, 3)))).values
-    assert np.array_equal(out, np.zeros((4, 2)))
-
-
-def test_mlp_two_layer_hand_oracle():
-    l1 = AffineLayer(Tensor(np.array([[1.0], [1.0]])), Tensor(np.array([0.5])))
-    l2 = AffineLayer(Tensor(np.array([[2.0]])), Tensor(np.array([-1.0])))
-    mlp = MLP([l1, l2], ["tanh", "identity"])
-    x = np.array([[1.0, 2.0]])
-    expected = 2.0 * np.tanh(3.5) - 1.0
-    assert mlp(Tensor(x)).values[0, 0] == pytest.approx(expected, abs=1e-15)
-
-
-def test_mlp_validation():
-    l1 = AffineLayer(Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
-    l2 = AffineLayer(Tensor(np.zeros((4, 1))), Tensor(np.zeros(1)))
-    with pytest.raises(ValueError, match="chain"):
-        MLP([l1, l2], ["tanh", "tanh"])
-    with pytest.raises(ValueError, match="activation"):
-        MLP([l1], ["sigmoid"])
-    with pytest.raises(ValueError, match="per layer"):
-        MLP([l1], ["tanh", "relu"])
-
-
-def test_mlp_gradient_check(rng):
-    def f(p):
-        l1 = AffineLayer(p[0], p[1])
-        l2 = AffineLayer(p[2], p[3])
-        mlp = MLP([l1, l2], ["relu", "tanh"])
-        return mlp(Tensor(np.linspace(-1, 1, 8).reshape(2, 4))).square().sum()
-
-    point = [
-        Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=3)),
-        Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=2)),
-    ]
-    assert grad_check(f, point) < 1e-5
 
 
 # -- adam ---------------------------------------------------------------------------------

@@ -6,13 +6,10 @@ from hypothesis.extra.numpy import arrays
 
 from modalflow.tensor import (
     DomainError,
-    PRIMITIVE_KINDS,
     ShapeError,
     Tensor,
     ancestors,
-    apply_primitive,
     backward,
-    broadcast_to,
     concat,
     grad_check,
     matmul,
@@ -173,7 +170,7 @@ def test_backward_rejects_detached_loss():
         lambda: Tensor(np.ones(6)).reshape((4, 2)),
         lambda: narrow(Tensor(np.ones((2, 3))), 1, 2, 5),
         lambda: concat([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))], axis=1),
-        lambda: broadcast_to(Tensor(np.ones((2, 3))), (2, 5)),
+        lambda: matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 4)))),
     ],
 )
 def test_shape_errors(build):
@@ -203,32 +200,6 @@ def test_sqrt_subgradient_zero_at_cusp():
     g = grads.get(x)
     assert np.all(np.isfinite(g))
     assert g[1] == pytest.approx(0.25, abs=1e-15)
-
-
-# -- registry -------------------------------------------------------------------------
-
-
-def test_apply_primitive_dispatch_matches_direct(rng):
-    a = rng.normal(size=(2, 3))
-    b = rng.normal(size=(3, 4))
-    via_registry = apply_primitive("matmul", [Tensor(a), Tensor(b)]).values
-    assert np.array_equal(via_registry, naive_matmul(a, b).astype(np.float64)) or (
-        np.max(np.abs(via_registry - naive_matmul(a, b))) < 1e-12
-    )
-
-
-def test_apply_primitive_unknown_kind():
-    with pytest.raises(ValueError, match="unknown primitive"):
-        apply_primitive("conv2d", [Tensor(np.ones(2))])
-
-
-def test_registry_covers_expected_op_set():
-    expected = {
-        "matmul", "transpose", "add", "sub", "mul", "div", "scale", "concat",
-        "slice", "tanh", "relu", "softmax", "exp", "log", "sqrt", "square",
-        "sum", "mean", "broadcast", "reshape",
-    }
-    assert expected == set(PRIMITIVE_KINDS)
 
 
 # -- determinism ------------------------------------------------------------------------
@@ -279,7 +250,6 @@ PRIMITIVE_CASES = {
     "concat": lambda r: (lambda p: concat(p, axis=1).square().sum(), _points(r, (2, 3), (2, 2))),
     "slice": lambda r: (lambda p: p[0].narrow(1, 1, 3).square().sum(), _points(r, (3, 4))),
     "reshape": lambda r: (lambda p: p[0].reshape((4, 3)).tanh().sum(), _points(r, (3, 4))),
-    "broadcast": lambda r: (lambda p: broadcast_to(p[0], (4, 3, 2)).square().sum(), _points(r, (3, 2))),
     "tanh": lambda r: (lambda p: p[0].tanh().sum(), _points(r, (3, 4))),
     "relu": lambda r: (lambda p: p[0].relu().square().sum(), [Tensor(r.normal(size=(3, 4)) + 0.05)]),
     "exp": lambda r: (lambda p: p[0].exp().sum(), _points(r, (3, 4))),

@@ -1,9 +1,10 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import tiny_model_config
+from builders import tiny_model_config
 from modalflow.data import SynthConfig, batch_iter, generate_dataset
 from modalflow.fusion import init_model
 from modalflow.losses import LossWeights
@@ -13,9 +14,11 @@ from modalflow.training import (
     ABLATION_COLUMNS,
     DEFAULT_ABLATION_GRID,
     HISTORY_COLUMNS,
+    MODES,
     AblationSpec,
     Checkpoint,
     TrainConfig,
+    _predict,
     compute_metrics,
     derive_run_seed,
     evaluate,
@@ -69,11 +72,6 @@ def first_batch(dataset, size=16):
 def test_train_config_validation(kw):
     with pytest.raises(ValueError):
         TrainConfig(**kw)
-
-
-def test_ablation_tag():
-    assert AblationSpec().tag() == "sim_text-mia-mkd-rs-rnc"
-    assert "no_mia" in AblationSpec(use_mia=False).tag()
 
 
 # -- double flow -------------------------------------------------------------------------
@@ -130,6 +128,22 @@ def test_flows_finite_on_random_batches(tiny_data):
         c, m = run_double_flow(batch, store, MODEL)
         assert np.all(np.isfinite(c.y_hat.values))
         assert np.all(np.isfinite(m.y_hat.values))
+
+
+@pytest.mark.parametrize(
+    "spec", [AblationSpec(), AblationSpec(use_sim_text=False), AblationSpec(use_mia=False)]
+)
+def test_inference_feeds_the_training_flows(tiny_data, spec):
+    """Per mode, prediction on one batch is bit-identical to the matching training flow."""
+    val = tiny_data["val"]
+    store = init_model(MODEL, seed=4)
+    flows = dict(zip(MODES, run_double_flow(first_batch(val), store, MODEL, spec)))
+    values = {name: t.values for name, t in store.items()}
+    for mode, flow in flows.items():
+        y_hat, r = _predict(val, values, MODEL, mode, spec, batch_size=16)
+        assert np.array_equal(y_hat[:16], flow.y_hat.values), mode
+        assert np.array_equal(r[:16], flow.r.values), mode
+    assert not np.array_equal(flows["complete"].y_hat.values, flows["missing"].y_hat.values)
 
 
 def test_distillation_detach_contract(tiny_data):
@@ -296,6 +310,15 @@ def test_evaluate_both_modes(tiny_data, fitted):
     for mode in ("complete", "missing"):
         mae, acc = evaluate(tiny_data["test"], checkpoint, mode)
         assert np.isfinite(mae) and 0.0 <= acc <= 100.0
+
+
+def test_evaluate_rejects_empty_split_and_bad_mode(tiny_data, fitted):
+    checkpoint, _ = fitted
+    empty = replace(tiny_data["test"], **{f: a[:0] for f, a in tiny_data["test"].tensors().items()})
+    with pytest.raises(ValueError, match="split 'test' has no samples"):
+        evaluate(empty, checkpoint, "complete")
+    with pytest.raises(ValueError, match="mode must be one of"):
+        evaluate(empty, checkpoint, "partial")
 
 
 def test_evaluate_warns_without_recovery_components(tiny_data):
