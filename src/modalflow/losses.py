@@ -6,7 +6,10 @@
 - rs: same RMSE form with no detach, pulling both flows' final
   representations together.
 - rnc: rank contrast over the 2N concatenated final representations of both
-  flows, ordering representation distances by label distances.
+  flows, ordering representation distances by label distances. Each anchor's
+  candidates are sorted by label distance once, so the denominators are
+  suffix sums and the loss costs O(N^2 log N); the oracle builds every
+  candidate set explicitly, in O(N^3).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, pairwise_dist, suffix_sum
 
 
 @dataclass
@@ -81,26 +84,17 @@ def rs_loss(r, r_hat):
     return _rmse(r, r_hat, detach_first=False)
 
 
-def _rank_mask(labels):
-    """M[i, j, k] = (|y_i - y_k| >= |y_i - y_j|) and k != i.
-
-    The candidate set for anchor i and positive j: j itself always qualifies
-    (distance equal), the anchor never does.
-    """
-    y = np.asarray(labels, dtype=np.float64)
-    dist = np.abs(y[:, None] - y[None, :])
-    mask = dist[:, None, :] >= dist[:, :, None]
-    idx = np.arange(len(y))
-    mask[idx, :, idx] = False
-    return mask.astype(np.float64)
-
-
 def rnc_loss(reps, labels, tau_rnc):
     """Rank contrast over 2N representations with duplicated labels.
 
     sim(a, b) = -||a - b||_2. Per anchor i and positive j != i, the positive
-    competes against every k whose label distance to i is >= that of j; the
-    total applies the -1/(2N-1) factor and the 1/(2N) average.
+    competes against every k != i whose label distance to i is >= that of j;
+    the total applies the -1/(2N-1) factor and the 1/(2N) average.
+
+    With n = 2N, each anchor's row is sorted by label distance once and every
+    denominator is a suffix sum over that order (`tensor.suffix_sum`, ties
+    read from the first index of their group), so the loss costs
+    O(n^2 log n + n^2 D) time and O(n^2 D) memory, no O(n^3) array.
     """
     reps = reps if isinstance(reps, Tensor) else Tensor(reps)
     labels = np.asarray(labels, dtype=np.float64)
@@ -111,20 +105,16 @@ def rnc_loss(reps, labels, tau_rnc):
         raise ValueError(f"rnc_loss: need at least 2 representations, got {n}")
     if labels.shape != (n,):
         raise ValueError(f"rnc_loss: labels shape {labels.shape} != ({n},)")
-    if tau_rnc <= 0:
+    if not np.isfinite(labels).all():
+        raise ValueError("rnc_loss: labels must be finite")
+    if not tau_rnc > 0:
         raise ValueError(f"rnc_loss: tau must be positive, got {tau_rnc}")
 
-    sq = reps.square().sum(axis=1, keepdims=True)  # [2N, 1]
-    gram = reps @ reps.transpose()
-    d2 = (sq + sq.transpose() - gram * 2.0).relu()
-    # Diagonal gets +1 so sqrt stays differentiable there (excluded downstream);
-    # the tiny epsilon keeps ties between distinct rows finite-gradient.
-    d = (d2 + Tensor(np.eye(n) + 1e-30)).sqrt()
-    e = (d * (-1.0 / tau_rnc)).exp()  # exp(sim / tau), [2N, 2N]
-
-    mask = Tensor(_rank_mask(labels))  # [2N, 2N, 2N]
-    denom = (e.reshape((n, 1, n)) * mask).sum(axis=2)  # [2N, 2N]
-    ratio = e / denom
+    label_dist = np.abs(labels[:, None] - labels[None, :])
+    # the anchor sorts below every candidate, so it enters no denominator
+    np.fill_diagonal(label_dist, -np.inf)
+    e = (pairwise_dist(reps) * (-1.0 / tau_rnc)).exp()  # exp(sim / tau), [2N, 2N]
+    ratio = e / suffix_sum(e, label_dist)
     off_diag = Tensor(1.0 - np.eye(n))
     log_terms = (ratio.log() * off_diag).sum()
     return log_terms * (-1.0 / (n * (n - 1)))

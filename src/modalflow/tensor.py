@@ -205,7 +205,9 @@ def mul(a, b):
     av, bv = a.values, b.values
 
     def bwd(g):
-        return _unbroadcast(g * bv, a.shape), _unbroadcast(g * av, b.shape)
+        ga = _unbroadcast(g * bv, a.shape) if a.attached else None
+        gb = _unbroadcast(g * av, b.shape) if b.attached else None
+        return ga, gb
 
     return _result("mul", av * bv, (a, b), bwd)
 
@@ -216,7 +218,9 @@ def div(a, b):
     av, bv = a.values, b.values
 
     def bwd(g):
-        return _unbroadcast(g / bv, a.shape), _unbroadcast(-g * av / (bv * bv), b.shape)
+        ga = _unbroadcast(g / bv, a.shape) if a.attached else None
+        gb = _unbroadcast(-g * av / (bv * bv), b.shape) if b.attached else None
+        return ga, gb
 
     return _result("div", av / bv, (a, b), bwd)
 
@@ -244,8 +248,8 @@ def matmul(a, b):
     av, bv = a.values, b.values
 
     def bwd(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), b.shape)
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), a.shape) if a.attached else None
+        gb = _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), b.shape) if b.attached else None
         return ga, gb
 
     return _result("matmul", np.matmul(av, bv), (a, b), bwd)
@@ -404,6 +408,69 @@ def softmax(a, axis=-1, tau=1.0):
         return (inner * y / tau,)
 
     return _result("softmax", y, (a,), bwd)
+
+
+def suffix_sum(a, keys):
+    """out[i, j] = sum of a[i, k] over the k with keys[i, k] >= keys[i, j].
+
+    `keys` is a constant array of a's shape; -inf is allowed, NaN is not. Each
+    row is sorted once and summed in reverse, so a [n, m] input costs
+    O(n m log m) time and O(n m) memory. Tied keys share one tie group, and
+    every member of a group reads the sum from the group's first sorted index.
+    """
+    a = _lift(a)
+    keys = np.asarray(keys, dtype=np.float64)
+    if a.ndim != 2 or keys.shape != a.shape:
+        raise ShapeError(f"suffix_sum: need 2-D values and keys of one shape, got {a.shape} and {keys.shape}")
+    if np.isnan(keys).any():
+        raise DomainError("suffix_sum: keys contain NaN")
+    # tie groups are contiguous in any sorted order, so the sort need not be stable
+    order = np.argsort(keys, axis=1)
+    sorted_keys = np.take_along_axis(keys, order, axis=1)
+    pos = np.broadcast_to(np.arange(keys.shape[1]), keys.shape)
+    starts = np.ones(keys.shape, dtype=bool)
+    starts[:, 1:] = sorted_keys[:, 1:] != sorted_keys[:, :-1]
+    ends = np.ones(keys.shape, dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    # first / last sorted index of each position's tie group
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=1)
+    last = np.minimum.accumulate(np.where(ends, pos, keys.shape[1])[:, ::-1], axis=1)[:, ::-1]
+
+    def unsort(v, group_index):
+        out = np.empty_like(v)
+        np.put_along_axis(out, order, np.take_along_axis(v, group_index, axis=1), axis=1)
+        return out
+
+    suffix = np.cumsum(np.take_along_axis(a.values, order, axis=1)[:, ::-1], axis=1)[:, ::-1]
+
+    def bwd(g):
+        # a at sorted index q enters every position whose group starts at or
+        # before q: all positions up to the end of q's own group
+        return (unsort(np.cumsum(np.take_along_axis(g, order, axis=1), axis=1), last),)
+
+    return _result("suffix_sum", unsort(suffix, first), (a,), bwd)
+
+
+def pairwise_dist(a):
+    """out[i, j] = ||a[i] - a[j]||_2 over the rows of a [n, D].
+
+    Computed from direct differences, so rows that are close stay accurate at
+    any norm. Where a distance is 0 (the diagonal, coincident rows) the
+    gradient uses subgradient 0, as ``sqrt`` does. O(n^2 D) both ways.
+    """
+    a = _lift(a)
+    if a.ndim != 2:
+        raise ShapeError(f"pairwise_dist: need [n, D], got {a.shape}")
+    av = a.values
+    diff = av[:, None, :] - av[None, :, :]
+    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+    def bwd(g):
+        w = np.divide(g, d, out=np.zeros_like(d), where=d > 0)
+        w = w + w.T
+        return (w.sum(axis=1)[:, None] * av - w @ av,)
+
+    return _result("pairwise_dist", d, (a,), bwd)
 
 
 def reduce_sum(a, axis=None, keepdims=False):

@@ -175,13 +175,13 @@ def compute_metrics(labels, preds, acc_rule="sign"):
 def evaluate(dataset, checkpoint, mode, acc_rule=None, batch_size=256):
     """(MAE, ACC) of a checkpoint on one dataset in one inference mode."""
     acc_rule = acc_rule or checkpoint.train_config.eval_acc_rule
+    preds, _ = _predict(dataset, checkpoint.params, checkpoint.model_config, mode, checkpoint.ablation, batch_size)
     if mode == "missing" and not (checkpoint.ablation.use_mia or checkpoint.ablation.use_mkd):
         warnings.warn(
             "checkpoint was trained without imagination or distillation; "
             "missing-mode evaluation may be degraded",
             stacklevel=2,
         )
-    preds, _ = _predict(dataset, checkpoint.params, checkpoint.model_config, mode, checkpoint.ablation, batch_size)
     return compute_metrics(dataset.labels, preds, acc_rule)
 
 
@@ -255,8 +255,8 @@ def fit(datasets, model_config, train_config, ablation=None, out_dir=None):
         current = {name: t.values for name, t in store.items()}
         preds_c, _ = _predict(val, current, model_config, "complete", ablation)
         preds_m, _ = _predict(val, current, model_config, "missing", ablation)
-        val_mae_c = float(np.mean(np.abs(val.labels - preds_c)))
-        val_mae_m = float(np.mean(np.abs(val.labels - preds_m)))
+        val_mae_c = compute_metrics(val.labels, preds_c)[0]
+        val_mae_m = compute_metrics(val.labels, preds_m)[0]
         history.append(
             {
                 "epoch": epoch,

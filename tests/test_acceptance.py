@@ -34,7 +34,9 @@ from modalflow.tensor import (
     backward,
     concat,
     grad_check,
+    pairwise_dist,
     softmax,
+    suffix_sum,
 )
 from modalflow.training import (
     AblationSpec,
@@ -120,6 +122,14 @@ def _grad_cases(rng):
     pos = lambda s: Tensor(np.abs(rng.normal(size=s)) + 0.5)
     t = lambda s: Tensor(rng.normal(size=s))
 
+    def coincident(s):
+        x = rng.normal(size=s)
+        x[-1] = x[0]
+        return Tensor(x)
+
+    # tie groups of two and three, a -inf key, and an all-equal row
+    tied_keys = np.array([[0.5, 2.0, 0.5, -np.inf, 1.0], [1.0, 1.0, 3.0, 1.0, 0.0], [2.0] * 5])
+
     cases = {
         "matmul": lambda: (lambda p: (p[0] @ p[1]).sum(), [t((3, 4)), t((4, 2))]),
         "transpose": lambda: (lambda p: (p[0].transpose() @ p[0]).sum(), [t((3, 4))]),
@@ -140,6 +150,8 @@ def _grad_cases(rng):
         "softmax": lambda: (lambda p: softmax(p[0], axis=-1, tau=1.9).square().sum(), [t((3, 4))]),
         "sum": lambda: (lambda p: p[0].sum(axis=0).square().sum(), [t((3, 4))]),
         "mean": lambda: (lambda p: (p[0] - p[0].mean(axis=1, keepdims=True)).square().sum(), [t((3, 4))]),
+        "suffix_sum": lambda: (lambda p: suffix_sum(p[0], tied_keys).square().sum(), [t((3, 5))]),
+        "pairwise_dist": lambda: (lambda p: (pairwise_dist(p[0]) * p[1]).sum(), [coincident((4, 3)), t((4, 4))]),
     }
 
     def cross_attend_case():

@@ -132,6 +132,19 @@ def test_rnc_with_label_ties(rng):
     assert abs(got - want) < 1e-10
 
 
+def test_rnc_matches_oracle_with_large_tie_groups(rng):
+    # labels on a 3-value grid put many samples at one label distance; all-equal
+    # labels make every candidate set the whole batch minus the anchor
+    for n in (2, 3, 5, 8, 16):
+        grid = rng.choice([-1.5, 0.0, 2.0], n)
+        for labels in (np.concatenate([grid] * 2), np.full(2 * n, 0.7)):
+            reps = rng.normal(size=(2 * n, 3))
+            tau = float(rng.uniform(0.5, 4.0))
+            got = rnc_loss(Tensor(reps), labels, tau).item()
+            want = rnc_oracle(reps, labels, tau)
+            assert abs(got - want) < 1e-10, f"2N={2 * n}, labels={labels}"
+
+
 def test_rnc_with_identical_representations(rng):
     # exact representation ties: distances are 0; loss must stay finite
     labels = np.array([0.5, -0.5, 0.5, -0.5])
@@ -178,6 +191,11 @@ def test_rnc_validation(rng):
         rnc_loss(Tensor(rng.normal(size=(4, 3))), np.ones(3), 1.0)
     with pytest.raises(ValueError, match="tau"):
         rnc_loss(Tensor(rng.normal(size=(4, 3))), np.ones(4), -1.0)
+    with pytest.raises(ValueError, match="tau"):
+        rnc_loss(Tensor(rng.normal(size=(4, 3))), np.ones(4), float("nan"))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            rnc_loss(Tensor(rng.normal(size=(4, 3))), np.array([0.5, bad, 0.5, bad]), 1.0)
 
 
 def test_rnc_oracle_guards():

@@ -14,7 +14,9 @@ from modalflow.tensor import (
     grad_check,
     matmul,
     narrow,
+    pairwise_dist,
     softmax,
+    suffix_sum,
     transpose,
 )
 
@@ -171,6 +173,8 @@ def test_backward_rejects_detached_loss():
         lambda: narrow(Tensor(np.ones((2, 3))), 1, 2, 5),
         lambda: concat([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))], axis=1),
         lambda: matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 4)))),
+        lambda: suffix_sum(Tensor(np.ones((2, 3))), np.zeros((3, 2))),
+        lambda: pairwise_dist(Tensor(np.ones(3))),
     ],
 )
 def test_shape_errors(build):
@@ -191,6 +195,35 @@ def test_sqrt_domain_error():
 def test_softmax_rejects_non_positive_temperature():
     with pytest.raises(DomainError):
         softmax(Tensor(np.ones((1, 2))), tau=0.0)
+
+
+def test_suffix_sum_matches_masked_loop(rng):
+    a = rng.normal(size=TIED_KEYS.shape)
+    got = suffix_sum(Tensor(a), TIED_KEYS).values
+    for i, row in enumerate(TIED_KEYS):
+        for j, key in enumerate(row):
+            assert abs(got[i, j] - a[i][row >= key].sum()) < 1e-12
+
+
+def test_suffix_sum_nan_key_domain_error():
+    keys = np.zeros((2, 3))
+    keys[1, 1] = np.nan
+    with pytest.raises(DomainError):
+        suffix_sum(Tensor(np.ones((2, 3))), keys)
+
+
+def test_pairwise_dist_precise_for_close_rows_at_large_norm(rng):
+    # the Gram form |a|^2 + |b|^2 - 2 a.b loses all digits of this distance
+    a = rng.normal(size=(1, 4))
+    a *= 1e3 / np.linalg.norm(a)
+    step = rng.normal(size=(1, 4))
+    step *= 1e-6 / np.linalg.norm(step)
+    pts = np.concatenate([a, a + step])
+    want = np.linalg.norm(pts[1] - pts[0])
+    d = pairwise_dist(Tensor(pts)).values
+    assert d[0, 0] == 0.0 and d[1, 1] == 0.0
+    assert abs(d[0, 1] - want) <= 1e-9 * want
+    assert d[1, 0] == d[0, 1]
 
 
 def test_sqrt_subgradient_zero_at_cusp():
@@ -238,6 +271,17 @@ def _points(rng, *shapes, positive=False):
     return out
 
 
+# tie groups of two and three, a -inf key, and an all-equal row
+TIED_KEYS = np.array([[0.5, 2.0, 0.5, -np.inf, 1.0], [1.0, 1.0, 3.0, 1.0, 0.0], [2.0, 2.0, 2.0, 2.0, 2.0]])
+
+
+def _coincident_rows(rng):
+    """Four points in 3-D whose rows 0 and 2 coincide, and a weight per pair."""
+    a = rng.normal(size=(4, 3))
+    a[2] = a[0]
+    return [Tensor(a), Tensor(rng.normal(size=(4, 4)))]
+
+
 PRIMITIVE_CASES = {
     "matmul": lambda r: (lambda p: (p[0] @ p[1]).sum(), _points(r, (3, 4), (4, 2))),
     "matmul_batched": lambda r: (lambda p: (p[0] @ p[1]).sum(), _points(r, (2, 3, 4), (4, 2))),
@@ -259,6 +303,8 @@ PRIMITIVE_CASES = {
     "softmax": lambda r: (lambda p: (softmax(p[0], axis=-1, tau=1.7) * softmax(p[0], axis=-1, tau=1.7)).sum(), _points(r, (3, 4))),
     "sum_axis": lambda r: (lambda p: p[0].sum(axis=0).square().sum(), _points(r, (3, 4))),
     "mean_keepdims": lambda r: (lambda p: (p[0] - p[0].mean(axis=1, keepdims=True)).square().sum(), _points(r, (3, 4))),
+    "suffix_sum": lambda r: (lambda p: suffix_sum(p[0], TIED_KEYS).square().sum(), _points(r, (3, 5))),
+    "pairwise_dist": lambda r: (lambda p: (pairwise_dist(p[0]) * p[1]).sum(), _coincident_rows(r)),
 }
 
 

@@ -327,6 +327,12 @@ def test_evaluate_warns_without_recovery_components(tiny_data):
     checkpoint, _ = fit(tiny_data, MODEL, cfg, ablation=spec)
     with pytest.warns(UserWarning, match="missing-mode"):
         evaluate(tiny_data["test"], checkpoint, "missing")
+    # a call that fails validation raises before it warns
+    empty = replace(tiny_data["test"], **{f: a[:0] for f, a in tiny_data["test"].tensors().items()})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no samples"):
+            evaluate(empty, checkpoint, "missing")
 
 
 def test_similarity_matrix_properties(tiny_data, fitted):
