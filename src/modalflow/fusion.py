@@ -198,21 +198,32 @@ def regress(r, head):
     return out.reshape(r.shape[:-1])
 
 
-def umca_forward(E, umca, mia=None):
+def _imagine(R_v, R_a, R_t, mia, gate_from):
+    """MIA rewrite of the text rows [gate_from:] of a batch; rows before pass through."""
+    if gate_from == 0:
+        return mia_forward(R_v, R_a, R_t, mia)
+    rows = R_t.shape[0]
+    gated = [x.narrow(0, gate_from, rows) for x in (R_v, R_a, R_t)]
+    return concat([R_t.narrow(0, 0, gate_from), mia_forward(*gated, mia)], axis=0)
+
+
+def umca_forward(E, umca, mia=None, gate_from=0):
     """Full two-stage pipeline; `mia` = (stage1 params, stage2 params) gates imagination.
 
     With mia=None (complete flow) the text representations pass through
     untouched; with the gate on, both text representations are rewritten from
-    audio+vision context before fusion.
+    audio+vision context before fusion. `gate_from` restricts the gate to the
+    batch rows [gate_from:], so one call can run both flows stacked on the
+    batch axis (complete rows first); 0 gates every row.
     """
     R = {m: cross_attend(umca.query[m], E[m], umca.stage1[m], umca.tau) for m in MODALITIES}
     if mia is not None:
-        R["t"] = mia_forward(R["v"], R["a"], R["t"], mia[0])
+        R["t"] = _imagine(R["v"], R["a"], R["t"], mia[0], gate_from)
     w1 = afg_weights(R["a"], R["v"], R["t"], umca.afg1)
     q_multv = multiview_queries(R, w1)
     rewrite = None
     if mia is not None:
-        rewrite = lambda seq: mia_forward(seq["v"], seq["a"], seq["t"], mia[1])
+        rewrite = lambda seq: _imagine(seq["v"], seq["a"], seq["t"], mia[1], gate_from)
     R_seq, r = stage2_fuse(q_multv, E, umca, rewrite)
     y_hat = regress(r, umca.head)
     return FlowOutputs(stage1=R, afg1_w=w1, q_multv=q_multv, seq=R_seq, r=r, y_hat=y_hat)

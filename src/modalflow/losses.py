@@ -127,7 +127,9 @@ def rnc_oracle(reps, labels, tau_rnc):
     n = reps.shape[0]
     if n < 2:
         raise ValueError(f"rnc_oracle: need at least 2 representations, got {n}")
-    if tau_rnc <= 0:
+    if not np.isfinite(labels).all():
+        raise ValueError("rnc_oracle: labels must be finite")
+    if not tau_rnc > 0:
         raise ValueError(f"rnc_oracle: tau must be positive, got {tau_rnc}")
 
     total = 0.0

@@ -103,31 +103,40 @@ class AdamState:
 def adam_step(state, params, grads):
     """One Adam update with bias correction, in place on the store.
 
-    Parameters missing from `grads` see a zero gradient. A non-finite
-    gradient rejects the whole step before any mutation.
+    Parameters missing from `grads` see a zero gradient. A gradient whose
+    shape differs from its parameter's, or a non-finite one, rejects the whole
+    step before any mutation. The update runs once over all parameters laid
+    end to end, with the same arithmetic per element as a per-parameter loop;
+    `state.m` and `state.v` keep one array per parameter name.
     """
+    items = list(params.items())
     if isinstance(grads, GradMap):
-        gmap = {name: grads.get(p) for name, p in params.items()}
+        gs = [grads.get(p) for _, p in items]
     else:
-        gmap = {name: np.asarray(grads.get(name, np.zeros(p.shape))) for name, p in params.items()}
-    for name, g in gmap.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"adam: non-finite gradient for parameter '{name}'")
+        gs = [np.asarray(grads[name]) if name in grads else np.zeros(p.shape) for name, p in items]
+    for (name, p), g in zip(items, gs):
+        if g.shape != p.shape:
+            raise ValueError(f"adam: gradient for parameter '{name}' has shape {g.shape}, expected {p.shape}")
+    g = np.concatenate(gs, axis=None)
+    if not np.isfinite(g).all():
+        bad = next(name for (name, _), gi in zip(items, gs) if not np.isfinite(gi).all())
+        raise FloatingPointError(f"adam: non-finite gradient for parameter '{bad}'")
+
+    def flat(moments):
+        return np.concatenate([moments[name] if name in moments else np.zeros(p.shape) for name, p in items], axis=None)
 
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    for name, p in params.items():
-        g = gmap[name]
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros(p.shape)
-            v = np.zeros(p.shape)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        p.values = p.values - update
+    m = state.beta1 * flat(state.m) + (1.0 - state.beta1) * g
+    v = state.beta2 * flat(state.v) + (1.0 - state.beta2) * (g * g)
+    update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    values = np.concatenate([p.values for _, p in items], axis=None) - update
+    end = 0
+    for name, p in items:
+        shape = p.shape
+        start, end = end, end + p.size
+        state.m[name] = m[start:end].reshape(shape)
+        state.v[name] = v[start:end].reshape(shape)
+        p.values = values[start:end].reshape(shape)

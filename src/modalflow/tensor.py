@@ -248,6 +248,14 @@ def matmul(a, b):
     av, bv = a.values, b.values
 
     def bwd(g):
+        if bv.ndim == 2:
+            # a 2-D right operand is shared by every leading row of a, so both
+            # gradients are one GEMM over the folded rows; a GEMM against a
+            # contiguous copy of b^T measured faster than against the view
+            rows = g.reshape(-1, g.shape[-1])
+            ga = (rows @ np.ascontiguousarray(bv.T)).reshape(a.shape) if a.attached else None
+            gb = av.reshape(-1, av.shape[-1]).T @ rows if b.attached else None
+            return ga, gb
         ga = _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), a.shape) if a.attached else None
         gb = _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), b.shape) if b.attached else None
         return ga, gb

@@ -1,10 +1,12 @@
 """Double-flow self-distillation training, evaluation, ablations, and exports.
 
-Each training step runs the shared-parameter network twice: the complete flow
-sees real text with imagination off; the missing flow sees the simulated text
-with imagination on. The complete flow's text representations act as detached
-distillation targets for the missing flow. Early stopping monitors the
-complete-mode validation MAE and the best-MAE parameters are returned.
+Each training step runs two flows of the shared-parameter network: the
+complete flow sees real text with imagination off; the missing flow sees the
+simulated text with imagination on. Both run as one forward over 2n rows
+(complete rows first, then missing rows), and each half gives the same values
+as its flow run alone. The complete rows' text representations act as
+detached distillation targets for the missing rows. Early stopping monitors
+the complete-mode validation MAE and the best-MAE parameters are returned.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .data import batch_iter
 from .fusion import MODALITIES, ModelConfig, init_model, param_views, project_modality, umca_forward
 from .losses import LossWeights, make_report, mkd_loss, rnc_loss, rs_loss, task_loss, total_loss
 from .nn import AdamState, adam_step
-from .tensor import Tensor, backward, concat
+from .tensor import Tensor, backward
 
 HISTORY_COLUMNS = (
     "epoch", "task", "mkd1", "mkd2", "rs", "rnc", "total",
@@ -84,48 +86,61 @@ class Checkpoint:
 MODES = ("complete", "missing")
 
 
-def _flow(batch, umca, mia, mode, ablation):
-    """One forward pass in one inference mode; the only place the two modes differ.
+def _flow(batch, umca, mia, modes, ablation):
+    """One forward pass over the given modes stacked on the batch axis, in
+    MODES order; the only place the two modes differ.
 
     complete: real text, imagination off. missing: simulated text (zeros when
     use_sim_text is off), imagination gated by `mia` unless use_mia is off.
+    Each mode's rows see the same graph as that mode alone.
     """
-    if mode == "complete":
-        text, gate = batch.text, None
-    else:
-        text = batch.sim_text if ablation.use_sim_text else np.zeros_like(batch.sim_text)
-        gate = mia if ablation.use_mia else None
-    raws = {"a": batch.audio, "v": batch.vision, "t": text}
+    texts = []
+    for mode in modes:
+        if mode == "complete":
+            texts.append(batch.text)
+        else:
+            texts.append(batch.sim_text if ablation.use_sim_text else np.zeros_like(batch.sim_text))
+    gate = mia if "missing" in modes and ablation.use_mia else None
+    gate_from = batch.n * modes.index("missing") if gate is not None else 0
+
+    def stack(arrays):
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+    raws = {"a": stack([batch.audio] * len(modes)), "v": stack([batch.vision] * len(modes)), "t": stack(texts)}
     E = {m: project_modality(Tensor(raws[m]), m, umca) for m in MODALITIES}
-    return umca_forward(E, umca, mia=gate)
+    return umca_forward(E, umca, gate, gate_from=gate_from)
 
 
 def run_double_flow(batch, params, model_config, ablation=None):
-    """Complete flow (real text, imagination off) and missing flow (simulated text,
-    imagination on unless ablated), over one shared parameter mapping."""
+    """Both flows as one forward over 2n rows of one shared parameter mapping:
+    rows [:n] are the complete flow (real text, imagination off), rows [n:]
+    the missing flow (simulated text, imagination on unless ablated)."""
     ablation = ablation or AblationSpec()
     umca, mia1, mia2 = param_views(params, model_config)
-    mia = (mia1, mia2)
-    return _flow(batch, umca, mia, "complete", ablation), _flow(batch, umca, mia, "missing", ablation)
+    return _flow(batch, umca, (mia1, mia2), MODES, ablation)
 
 
 def train_step(batch, store, model_config, optimizer, weights, ablation=None):
     """One optimization step over the summed weighted loss; returns the per-term report."""
     ablation = ablation or AblationSpec()
-    flow_c, flow_m = run_double_flow(batch, store, model_config, ablation)
+    flow = run_double_flow(batch, store, model_config, ablation)
+    n = batch.n
+    labels2 = np.concatenate([batch.labels, batch.labels])
 
-    # Both flows feed the task loss so one head stays competent in both modes.
-    task = (task_loss(batch.labels, flow_c.y_hat) + task_loss(batch.labels, flow_m.y_hat)) * 0.5
+    def halves(t):
+        return t.narrow(0, 0, n), t.narrow(0, n, 2 * n)
+
+    # Both flows feed the task loss (2n rows, labels duplicated) so one head
+    # stays competent in both modes.
+    task = task_loss(labels2, flow.y_hat)
     mkd1 = mkd2 = rs = rnc = None
     if ablation.use_mkd:
-        mkd1 = mkd_loss(flow_c.stage1["t"], flow_m.stage1["t"])
-        mkd2 = mkd_loss(flow_c.seq["t"], flow_m.seq["t"])
+        mkd1 = mkd_loss(*halves(flow.stage1["t"]))
+        mkd2 = mkd_loss(*halves(flow.seq["t"]))
     if ablation.use_rs:
-        rs = rs_loss(flow_c.r, flow_m.r)
+        rs = rs_loss(*halves(flow.r))
     if ablation.use_rnc and weights.delta > 0:
-        reps = concat([flow_c.r, flow_m.r], axis=0)
-        labels2 = np.concatenate([batch.labels, batch.labels])
-        rnc = rnc_loss(reps, labels2, weights.tau_rnc)
+        rnc = rnc_loss(flow.r, labels2, weights.tau_rnc)
 
     total = total_loss(task, weights, mkd1=mkd1, mkd2=mkd2, rs=rs, rnc=rnc)
     report = make_report(total, task, mkd1=mkd1, mkd2=mkd2, rs=rs, rnc=rnc)
@@ -151,7 +166,7 @@ def _predict(dataset, params_values, model_config, mode, ablation, batch_size=25
     preds = []
     reps = []
     for batch in batch_iter(dataset, batch_size):
-        out = _flow(batch, umca, mia, mode, ablation)
+        out = _flow(batch, umca, mia, (mode,), ablation)
         preds.append(out.y_hat.values)
         reps.append(out.r.values)
     return np.concatenate(preds), np.concatenate(reps)

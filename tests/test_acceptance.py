@@ -210,6 +210,8 @@ def _grad_cases(rng):
             "loss_mkd": lambda: (lambda p: mkd_loss(teacher, p[0]), [t((2, 3))]),
             "loss_rs": lambda: (lambda p: rs_loss(p[0], p[1]), [t((2, 3)), t((2, 3))]),
             "loss_rnc": lambda: (lambda p: rnc_loss(p[0], rnc_labels, 2.0), [t((8, 3))]),
+            # a 2-D right operand takes the folded-rows GEMM in matmul's backward
+            "matmul_3d_by_2d": lambda: (lambda p: (p[0] @ p[1]).square().sum(), [t((2, 3, 4)), t((4, 2))]),
         }
     )
     return cases

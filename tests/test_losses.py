@@ -196,6 +196,12 @@ def test_rnc_validation(rng):
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             rnc_loss(Tensor(rng.normal(size=(4, 3))), np.array([0.5, bad, 0.5, bad]), 1.0)
+    # the oracle applies the same checks
+    with pytest.raises(ValueError, match="tau"):
+        rnc_oracle(rng.normal(size=(4, 3)), np.ones(4), float("nan"))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            rnc_oracle(rng.normal(size=(4, 3)), np.array([0.0, bad, 0.0, bad]), 1.0)
 
 
 def test_rnc_oracle_guards():

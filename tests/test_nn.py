@@ -153,3 +153,48 @@ def test_adam_state_snapshot_roundtrip():
     state.load(snap)
     assert state.step == 1
     assert np.array_equal(state.m["w"], snap["m"]["w"])
+
+
+def test_adam_rejects_wrong_shape_gradient_before_mutation():
+    store = _single_param_store(np.zeros(4))
+    state = AdamState()
+    with pytest.raises(ValueError, match="'w'"):
+        adam_step(state, store, {"w": np.array([1.0])})
+    assert np.array_equal(store["w"].values, np.zeros(4))
+    assert state.step == 0 and not state.m
+
+
+def _reference_adam_step(state, params, grads):
+    """Per-parameter Adam loop, the form the flat update must reproduce bit for bit."""
+    state.step += 1
+    bc1 = 1.0 - state.beta1**state.step
+    bc2 = 1.0 - state.beta2**state.step
+    for name, p in params.items():
+        g = grads.get(name, np.zeros(p.shape))
+        m = state.m.get(name, np.zeros(p.shape))
+        v = state.v.get(name, np.zeros(p.shape))
+        state.m[name] = state.beta1 * m + (1.0 - state.beta1) * g
+        state.v[name] = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+        update = state.lr * (state.m[name] / bc1) / (np.sqrt(state.v[name] / bc2) + state.eps)
+        p.values = p.values - update
+
+
+def test_adam_flat_update_matches_per_parameter_loop(rng):
+    shapes = {"W": (4, 3), "b": (3,), "q": (1, 3), "skipped": (2, 2)}
+    stores = []
+    for _ in range(2):
+        store = ParamStore()
+        for name, shape in shapes.items():
+            store.register(name, Tensor(np.random.default_rng(5).normal(size=shape), requires_grad=True))
+        stores.append(store)
+    flat_state, ref_state = AdamState(lr=0.01), AdamState(lr=0.01)
+    for _ in range(5):
+        grads = {name: rng.normal(size=shape) for name, shape in shapes.items() if name != "skipped"}
+        adam_step(flat_state, stores[0], grads)
+        _reference_adam_step(ref_state, stores[1], grads)
+    for name in shapes:
+        assert np.array_equal(stores[0][name].values, stores[1][name].values), name
+        assert np.array_equal(flat_state.m[name], ref_state.m[name]), name
+        assert np.array_equal(flat_state.v[name], ref_state.v[name]), name
+        assert flat_state.m[name].shape == shapes[name]
+    assert np.array_equal(stores[0]["skipped"].values, np.random.default_rng(5).normal(size=(2, 2)))

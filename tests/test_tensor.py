@@ -285,6 +285,7 @@ def _coincident_rows(rng):
 PRIMITIVE_CASES = {
     "matmul": lambda r: (lambda p: (p[0] @ p[1]).sum(), _points(r, (3, 4), (4, 2))),
     "matmul_batched": lambda r: (lambda p: (p[0] @ p[1]).sum(), _points(r, (2, 3, 4), (4, 2))),
+    "matmul_3d_by_2d": lambda r: (lambda p: (p[0] @ p[1]).square().sum(), _points(r, (2, 3, 4), (4, 2))),
     "transpose": lambda r: (lambda p: (p[0].transpose() @ p[0]).sum(), _points(r, (3, 4))),
     "add": lambda r: (lambda p: (p[0] + p[1]).square().sum(), _points(r, (3, 4), (4,))),
     "sub": lambda r: (lambda p: (p[0] - p[1]).square().sum(), _points(r, (3, 4), (3, 4))),

@@ -4,12 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import modalflow.training as training
 from builders import tiny_model_config
 from modalflow.data import SynthConfig, batch_iter, generate_dataset
-from modalflow.fusion import init_model
+from modalflow.fusion import ModelConfig, init_model
 from modalflow.losses import LossWeights
 from modalflow.nn import AdamState
-from modalflow.tensor import ancestors, backward
+from modalflow.tensor import Tensor, ancestors, backward
 from modalflow.training import (
     ABLATION_COLUMNS,
     DEFAULT_ABLATION_GRID,
@@ -55,6 +56,12 @@ def first_batch(dataset, size=16):
     return next(iter(batch_iter(dataset, size)))
 
 
+def halves(values, n):
+    """(complete rows, missing rows) of a stacked double-flow output."""
+    assert len(values) == 2 * n
+    return values[:n], values[n:]
+
+
 # -- config validation -----------------------------------------------------------------
 
 
@@ -85,9 +92,9 @@ def test_flows_collapse_when_sim_text_is_real(tiny_data):
     for tag in ("mia1", "mia2"):
         store[f"{tag}.W2"].values[:] = 0.0
         store[f"{tag}.b2"].values[:] = 0.0
-    c, m = run_double_flow(first_batch(data["train"]), store, MODEL)
-    assert np.array_equal(c.y_hat.values, m.y_hat.values)
-    assert np.array_equal(c.r.values, m.r.values)
+    flow = run_double_flow(first_batch(data["train"]), store, MODEL)
+    assert np.array_equal(*halves(flow.y_hat.values, 16))
+    assert np.array_equal(*halves(flow.r.values, 16))
 
 
 def test_gate_off_bypass_bit_identical(tiny_data):
@@ -95,24 +102,27 @@ def test_gate_off_bypass_bit_identical(tiny_data):
     batch = first_batch(tiny_data["train"])
     store = init_model(MODEL, seed=1)
     spec = AblationSpec(use_mia=False)
-    _, m1 = run_double_flow(batch, store, MODEL, spec)
+    _, m1 = halves(run_double_flow(batch, store, MODEL, spec).y_hat.values, batch.n)
     for tag in ("mia1", "mia2"):
         store[f"{tag}.W1"].values[:] += 100.0
         store[f"{tag}.W2"].values[:] += 100.0
-    _, m2 = run_double_flow(batch, store, MODEL, spec)
-    assert np.array_equal(m1.y_hat.values, m2.y_hat.values)
+    _, m2 = halves(run_double_flow(batch, store, MODEL, spec).y_hat.values, batch.n)
+    assert np.array_equal(m1, m2)
 
 
 def test_sim_text_off_feeds_zeros(tiny_data):
     batch = first_batch(tiny_data["train"])
     store = init_model(MODEL, seed=1)
-    _, with_sim = run_double_flow(batch, store, MODEL, AblationSpec())
-    _, no_sim = run_double_flow(batch, store, MODEL, AblationSpec(use_sim_text=False))
+    def missing_y_hat(b, spec):
+        return halves(run_double_flow(b, store, MODEL, spec).y_hat.values, b.n)[1]
+
+    with_sim = missing_y_hat(batch, AblationSpec())
+    no_sim = missing_y_hat(batch, AblationSpec(use_sim_text=False))
     batch_zeroed = first_batch(tiny_data["train"])
     batch_zeroed.sim_text = np.zeros_like(batch_zeroed.sim_text)
-    _, manual = run_double_flow(batch_zeroed, store, MODEL, AblationSpec())
-    assert np.array_equal(no_sim.y_hat.values, manual.y_hat.values)
-    assert not np.array_equal(no_sim.y_hat.values, with_sim.y_hat.values)
+    manual = missing_y_hat(batch_zeroed, AblationSpec())
+    assert np.array_equal(no_sim, manual)
+    assert not np.array_equal(no_sim, with_sim)
 
 
 def test_flows_finite_on_random_batches(tiny_data):
@@ -125,9 +135,9 @@ def test_flows_finite_on_random_batches(tiny_data):
         batch.vision = rng.normal(scale=3.0, size=batch.vision.shape)
         batch.text = rng.normal(scale=3.0, size=batch.text.shape)
         batch.sim_text = rng.normal(scale=3.0, size=batch.sim_text.shape)
-        c, m = run_double_flow(batch, store, MODEL)
-        assert np.all(np.isfinite(c.y_hat.values))
-        assert np.all(np.isfinite(m.y_hat.values))
+        flow = run_double_flow(batch, store, MODEL)
+        assert flow.y_hat.shape == (2 * n,)
+        assert np.all(np.isfinite(flow.y_hat.values))
 
 
 @pytest.mark.parametrize(
@@ -137,30 +147,46 @@ def test_inference_feeds_the_training_flows(tiny_data, spec):
     """Per mode, prediction on one batch is bit-identical to the matching training flow."""
     val = tiny_data["val"]
     store = init_model(MODEL, seed=4)
-    flows = dict(zip(MODES, run_double_flow(first_batch(val), store, MODEL, spec)))
+    flow = run_double_flow(first_batch(val), store, MODEL, spec)
+    y_hats = dict(zip(MODES, halves(flow.y_hat.values, 16)))
+    reps = dict(zip(MODES, halves(flow.r.values, 16)))
     values = {name: t.values for name, t in store.items()}
-    for mode, flow in flows.items():
+    for mode in MODES:
         y_hat, r = _predict(val, values, MODEL, mode, spec, batch_size=16)
-        assert np.array_equal(y_hat[:16], flow.y_hat.values), mode
-        assert np.array_equal(r[:16], flow.r.values), mode
-    assert not np.array_equal(flows["complete"].y_hat.values, flows["missing"].y_hat.values)
+        assert np.array_equal(y_hat[:16], y_hats[mode]), mode
+        assert np.array_equal(r[:16], reps[mode]), mode
+    assert not np.array_equal(y_hats["complete"], y_hats["missing"])
 
 
 def test_distillation_detach_contract(tiny_data):
-    """Backprop of the distillation terms alone must not reach the complete flow."""
+    """Backprop of the distillation terms alone must not reach the complete flow's rows."""
     from modalflow.losses import mkd_loss
 
     batch = first_batch(tiny_data["train"])
+    n = batch.n
     store = init_model(MODEL, seed=0)
-    flow_c, flow_m = run_double_flow(batch, store, MODEL)
-    loss = mkd_loss(flow_c.stage1["t"], flow_m.stage1["t"]) + mkd_loss(flow_c.seq["t"], flow_m.seq["t"])
+    flow = run_double_flow(batch, store, MODEL)
+
+    def mkd_terms(stage1_t, seq_t):
+        """The two MKD terms as train_step takes them: teacher rows [:n], student rows [n:]."""
+        teachers = [t.narrow(0, 0, n) for t in (stage1_t, seq_t)]
+        students = [t.narrow(0, n, 2 * n) for t in (stage1_t, seq_t)]
+        return mkd_loss(teachers[0], students[0]) + mkd_loss(teachers[1], students[1]), teachers, students
+
+    loss, teachers, students = mkd_terms(flow.stage1["t"], flow.seq["t"])
     up = ancestors(loss)
-    assert not any(node is flow_c.stage1["t"] for node in up)
-    assert not any(node is flow_c.r for node in up)
-    assert any(node is flow_m.stage1["t"] for node in up)
+    assert not any(node is t for node in up for t in teachers)
+    assert all(any(node is s for node in up) for s in students)
     grads = backward(loss)
     for name in ("mia1.W1", "mia1.W2", "mia2.W1", "mia2.W2"):
         assert np.any(grads.get(store[name]) != 0.0), name
+
+    leaves = [Tensor(flow.stage1["t"].values, requires_grad=True), Tensor(flow.seq["t"].values, requires_grad=True)]
+    leaf_grads = backward(mkd_terms(*leaves)[0])
+    for leaf in leaves:
+        g = leaf_grads.get(leaf)
+        assert np.all(g[:n] == 0.0)
+        assert np.any(g[n:] != 0.0)
 
 
 # -- train step --------------------------------------------------------------------------------
@@ -197,6 +223,40 @@ def test_train_step_decreases_loss_on_repeated_batch(tiny_data):
     for _ in range(30):
         last = train_step(batch, store, MODEL, opt, weights)
     assert last.total < first.total
+
+
+def test_train_step_short_final_batch(tiny_data):
+    """The last batch of an epoch is short (60 = 3 x 16 + 12); its halves split at its own n."""
+    train = tiny_data["train"]
+    batch = list(batch_iter(train, 16))[-1]
+    assert batch.n == 12
+    store = init_model(MODEL, seed=0)
+    values = {name: t.values for name, t in store.items()}
+    preds = {mode: _predict(train, values, MODEL, mode, AblationSpec(), batch_size=16) for mode in MODES}
+    report = train_step(batch, store, MODEL, AdamState(), LossWeights())
+    (y_c, r_c), (y_m, r_m) = ((y[-12:], r[-12:]) for y, r in preds.values())
+    task = np.mean(np.concatenate([(batch.labels - y_c) ** 2, (batch.labels - y_m) ** 2]))
+    rs = np.sqrt(np.mean((r_c - r_m) ** 2))
+    assert report.task == pytest.approx(task, rel=1e-12, abs=0)
+    assert report.rs == pytest.approx(rs, rel=1e-12, abs=0)
+    assert all(np.isfinite(report.as_row()))
+
+
+def test_default_config_step_graph_size(monkeypatch):
+    """One default-config step is one stacked forward: 213 graph nodes (two
+    separate flow graphs took 303). A change that splits the flows again fails here."""
+    model = ModelConfig()
+    data = generate_dataset(SynthConfig(n_train=32, n_val=1, n_test=1))
+    batch = first_batch(data["train"], 32)
+    counted = []
+
+    def counting(loss):
+        counted.append(len(ancestors(loss)) + 1)
+        return backward(loss)
+
+    monkeypatch.setattr(training, "backward", counting)
+    train_step(batch, init_model(model, seed=0), model, AdamState(), LossWeights())
+    assert counted == [213]
 
 
 # -- metrics -----------------------------------------------------------------------------------
