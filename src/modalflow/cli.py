@@ -79,16 +79,6 @@ def _load_run_config(args):
     return build_config(apply_overrides({}, args.overrides))
 
 
-def _check_data_matches_model(datasets, cfg):
-    sample = next(iter(datasets.values()))
-    got = (sample.audio.shape[2], sample.vision.shape[2], sample.text.shape[2], sample.audio.shape[1])
-    want = (cfg.model.raw_dim_a, cfg.model.raw_dim_v, cfg.model.raw_dim_t, cfg.model.seq_len)
-    if got != want:
-        raise ConfigError(
-            f"dataset shapes (raw dims a/v/t, seq len) {got} do not match model config {want}"
-        )
-
-
 def cmd_gen_data(args):
     cfg = _load_run_config(args)
     datasets = generate_dataset(cfg.synth)
@@ -104,7 +94,6 @@ def cmd_train(args):
     for split in ("train", "val"):
         if split not in datasets:
             raise DatasetError(f"dataset at {args.data} lacks the '{split}' split")
-    _check_data_matches_model(datasets, cfg)
     out = Path(args.out)
     checkpoint, history = fit(datasets, cfg.model, cfg.train, out_dir=out)
     write_config_echo(cfg, out)
@@ -132,11 +121,7 @@ def cmd_simmat(args):
 
 def cmd_ablate(args):
     cfg = _load_run_config(args)
-    if args.data is not None:
-        datasets = load_dataset(args.data)
-        _check_data_matches_model(datasets, cfg)
-    else:
-        datasets = generate_dataset(cfg.synth)
+    datasets = load_dataset(args.data) if args.data is not None else generate_dataset(cfg.synth)
     rows = run_ablation(
         datasets, cfg.model, cfg.train,
         specs=DEFAULT_ABLATION_GRID, n_seeds=args.seeds, out_dir=args.out, jobs=args.jobs,

@@ -9,7 +9,9 @@ knob rho in [0, 1].
 
 On-disk format: one directory holding `manifest.json` plus one raw `.bin`
 file per tensor field per split (little-endian float64, row-major, samples
-concatenated along the leading axis).
+concatenated along the leading axis). `write_tensor`/`read_tensor` are the
+one codec for these files; checkpoints (`training.save_checkpoint`) use it
+too and choose only their own file names and manifest keys.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ TEXT_SIGNAL_GAIN = 1.2
 
 
 class DatasetError(ValueError):
-    """Invalid dataset configuration or on-disk state."""
+    """Invalid dataset configuration or on-disk tensor state."""
 
 
 @dataclass
@@ -166,6 +168,36 @@ def generate_dataset(config):
 # -- persistence ----------------------------------------------------------------
 
 
+def write_tensor(directory, fname, arr):
+    """Write one array as a `<f8` file under `directory`; returns its manifest
+    entry {file, shape, bytes}."""
+    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    (Path(directory) / fname).write_bytes(raw)
+    return {"file": fname, "shape": list(np.shape(arr)), "bytes": len(raw)}
+
+
+def read_tensor(directory, entry, name):
+    """Read back the array of a `write_tensor` manifest entry.
+
+    Checks that the shape, the declared byte count and the file length agree;
+    a mismatch raises DatasetError naming the tensor as `name`.
+    """
+    shape = tuple(int(s) for s in entry["shape"])
+    expected = int(np.prod(shape, dtype=np.int64)) * 8
+    if expected != int(entry["bytes"]):
+        raise DatasetError(
+            f"load: tensor '{name}' manifest shape {shape} "
+            f"inconsistent with declared {entry['bytes']} bytes"
+        )
+    # read straight into the array's own (writable) buffer: one allocation per tensor, no copy
+    raw = bytearray(expected)
+    with (Path(directory) / entry["file"]).open("rb") as fh:
+        size = fh.readinto(raw) + len(fh.read())
+    if size != expected:
+        raise DatasetError(f"load: tensor '{name}' file holds {size} bytes, expected {expected}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
+
+
 def save_dataset(datasets, path):
     """Write one or more splits into a directory (manifest + per-tensor .bin)."""
     if isinstance(datasets, Dataset):
@@ -179,17 +211,10 @@ def save_dataset(datasets, path):
         "splits": {},
     }
     for split, ds in datasets.items():
-        entry = {"n": int(ds.n), "tensors": {}}
-        for name, arr in ds.tensors().items():
-            fname = f"{split}_{name}.bin"
-            raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-            (path / fname).write_bytes(raw)
-            entry["tensors"][name] = {
-                "file": fname,
-                "shape": list(arr.shape),
-                "bytes": len(raw),
-            }
-        manifest["splits"][split] = entry
+        manifest["splits"][split] = {
+            "n": int(ds.n),
+            "tensors": {name: write_tensor(path, f"{split}_{name}.bin", arr) for name, arr in ds.tensors().items()},
+        }
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
@@ -213,20 +238,7 @@ def load_dataset(path, split=None):
         for name in TENSOR_FIELDS:
             if name not in entry["tensors"]:
                 raise DatasetError(f"load: split '{split_name}' missing tensor '{name}'")
-            meta = entry["tensors"][name]
-            shape = tuple(int(s) for s in meta["shape"])
-            expected = int(np.prod(shape, dtype=np.int64)) * 8
-            if expected != int(meta["bytes"]):
-                raise DatasetError(
-                    f"load: tensor '{split_name}/{name}' manifest shape {shape} "
-                    f"inconsistent with declared {meta['bytes']} bytes"
-                )
-            raw = (path / meta["file"]).read_bytes()
-            if len(raw) != expected:
-                raise DatasetError(
-                    f"load: tensor '{split_name}/{name}' file holds {len(raw)} bytes, expected {expected}"
-                )
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            arrays[name] = read_tensor(path, entry["tensors"][name], f"{split_name}/{name}")
         out[split_name] = Dataset(split=split_name, config=config, **arrays)
     if split is not None:
         if split not in out:

@@ -33,14 +33,10 @@ SUBSETS = (("a",), ("v",), ("t",), ("a", "v"), ("a", "t"), ("v", "t"), ("a", "v"
 class ModelConfig:
     dim: int = 32
     mia_hidden: int = 16
-    seq_len: int = 8
-    raw_dim_a: int = 20
-    raw_dim_v: int = 16
-    raw_dim_t: int = 24
     tau_attn: float | None = None  # None -> sqrt(dim)
 
     def __post_init__(self):
-        for name in ("dim", "mia_hidden", "seq_len", "raw_dim_a", "raw_dim_v", "raw_dim_t"):
+        for name in ("dim", "mia_hidden"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"model config: {name} must be positive")
         if self.mia_hidden >= 3 * self.dim:
@@ -49,9 +45,6 @@ class ModelConfig:
             self.tau_attn = math.sqrt(self.dim)
         if self.tau_attn <= 0:
             raise ValueError("model config: tau_attn must be positive")
-
-    def raw_dim(self, m):
-        return {"a": self.raw_dim_a, "v": self.raw_dim_v, "t": self.raw_dim_t}[m]
 
 
 @dataclass
@@ -82,13 +75,17 @@ class FlowOutputs:
     y_hat: Tensor  # [...]
 
 
-def init_model(config, seed):
-    """All learnable weights, Gaussian N(0, 0.02^2), zero biases; deterministic per seed."""
+def init_model(config, raw_dims, seed):
+    """All learnable weights, Gaussian N(0, 0.02^2), zero biases; deterministic per seed.
+
+    `raw_dims` maps each modality to its raw feature size (the data's last
+    axis), the input size of that modality's projection.
+    """
     rng = np.random.default_rng(seed)
     store = ParamStore()
     d = config.dim
     for m in MODALITIES:
-        init_affine(rng, store, f"proj.{m}", config.raw_dim(m), d)
+        init_affine(rng, store, f"proj.{m}", raw_dims[m], d)
     for m in MODALITIES:
         store.register(f"query.{m}", gaussian_leaf(rng, (1, d)))
     for stage in ("s1", "s2"):
@@ -132,7 +129,7 @@ def project_modality(raw, m, umca):
     layer = umca.proj[m]
     if raw.shape[-1] != layer.in_dim:
         raise ValueError(
-            f"project: modality '{m}' raw dim {raw.shape[-1]} != configured {layer.in_dim}"
+            f"project: modality '{m}' raw dim {raw.shape[-1]} != the model's input dim {layer.in_dim}"
         )
     return layer(raw)
 
@@ -183,11 +180,15 @@ def _pool_seq(R_seq, afg2):
     return fused.mean(axis=-2)
 
 
-def stage2_fuse(q_multv, E, umca, rewrite_text=None):
-    """Second attention stage plus pooling into the final representation r."""
+def stage2_fuse(q_multv, E, umca, mia=None, gate_from=0):
+    """Second attention stage plus pooling into the final representation r.
+
+    With `mia` (the stage-2 MIA parameters) the text rows [gate_from:] are
+    rewritten by imagination before pooling.
+    """
     R_seq = {m: cross_attend(q_multv, E[m], umca.stage2[m], umca.tau) for m in MODALITIES}
-    if rewrite_text is not None:
-        R_seq["t"] = rewrite_text(R_seq)
+    if mia is not None:
+        R_seq["t"] = _imagine(R_seq["v"], R_seq["a"], R_seq["t"], mia, gate_from)
     r = _pool_seq(R_seq, umca.afg2)
     return R_seq, r
 
@@ -216,14 +217,12 @@ def umca_forward(E, umca, mia=None, gate_from=0):
     batch rows [gate_from:], so one call can run both flows stacked on the
     batch axis (complete rows first); 0 gates every row.
     """
+    mia1, mia2 = mia if mia is not None else (None, None)
     R = {m: cross_attend(umca.query[m], E[m], umca.stage1[m], umca.tau) for m in MODALITIES}
-    if mia is not None:
-        R["t"] = _imagine(R["v"], R["a"], R["t"], mia[0], gate_from)
+    if mia1 is not None:
+        R["t"] = _imagine(R["v"], R["a"], R["t"], mia1, gate_from)
     w1 = afg_weights(R["a"], R["v"], R["t"], umca.afg1)
     q_multv = multiview_queries(R, w1)
-    rewrite = None
-    if mia is not None:
-        rewrite = lambda seq: _imagine(seq["v"], seq["a"], seq["t"], mia[1], gate_from)
-    R_seq, r = stage2_fuse(q_multv, E, umca, rewrite)
+    R_seq, r = stage2_fuse(q_multv, E, umca, mia2, gate_from)
     y_hat = regress(r, umca.head)
     return FlowOutputs(stage1=R, afg1_w=w1, q_multv=q_multv, seq=R_seq, r=r, y_hat=y_hat)

@@ -111,9 +111,6 @@ class Tensor:
     def tanh(self):
         return tanh(self)
 
-    def relu(self):
-        return relu(self)
-
     def exp(self):
         return exp(self)
 
@@ -341,16 +338,6 @@ def tanh(a):
         return (g * (1.0 - y * y),)
 
     return _result("tanh", y, (a,), bwd)
-
-
-def relu(a):
-    a = _lift(a)
-    pos = a.values > 0
-
-    def bwd(g):
-        return (g * pos,)
-
-    return _result("relu", np.where(pos, a.values, 0.0), (a,), bwd)
 
 
 def exp(a):

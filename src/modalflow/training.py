@@ -7,6 +7,11 @@ simulated text with imagination on. Both run as one forward over 2n rows
 as its flow run alone. The complete rows' text representations act as
 detached distillation targets for the missing rows. Early stopping monitors
 the complete-mode validation MAE and the best-MAE parameters are returned.
+
+The model's input sizes are not configured: `fit` reads each modality's raw
+feature size from the train split. Checkpoints are stored with the dataset
+tensor codec (`data.write_tensor`/`data.read_tensor`); this module picks only
+their file names and manifest keys.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import batch_iter
+from .data import batch_iter, read_tensor, write_tensor
 from .fusion import MODALITIES, ModelConfig, init_model, param_views, project_modality, umca_forward
 from .losses import LossWeights, make_report, mkd_loss, rnc_loss, rs_loss, task_loss, total_loss
 from .nn import AdamState, adam_step
@@ -250,7 +255,8 @@ def fit(datasets, model_config, train_config, ablation=None, out_dir=None):
     if train.n == 0 or val.n == 0:
         raise ValueError("fit: empty dataset split")
 
-    store = init_model(model_config, train_config.seed)
+    raw_dims = {"a": train.audio.shape[-1], "v": train.vision.shape[-1], "t": train.text.shape[-1]}
+    store = init_model(model_config, raw_dims, train_config.seed)
     optimizer = AdamState(lr=train_config.lr)
 
     best_mae = np.inf
@@ -320,11 +326,11 @@ def write_history_csv(path, history):
 
 
 def save_checkpoint(checkpoint, path):
-    """Directory with manifest.json plus per-tensor .bin (same format as datasets)."""
+    """Directory with manifest.json plus per-tensor .bin (the dataset codec)."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     manifest = {
-        "format": "modalflow-checkpoint-v1",
+        "format": "modalflow-checkpoint-v2",
         "dtype": "<f8",
         "epoch": checkpoint.epoch,
         "best_val_mae": checkpoint.best_val_mae,
@@ -335,18 +341,9 @@ def save_checkpoint(checkpoint, path):
         "tensors": {},
     }
     groups = {"param": checkpoint.params, "adam_m": checkpoint.optimizer["m"], "adam_v": checkpoint.optimizer["v"]}
-    i = 0
-    for group, tensors in groups.items():
-        for name, arr in tensors.items():
-            fname = f"t{i:04d}.bin"
-            raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-            (path / fname).write_bytes(raw)
-            manifest["tensors"][f"{group}:{name}"] = {
-                "file": fname,
-                "shape": list(np.asarray(arr).shape),
-                "bytes": len(raw),
-            }
-            i += 1
+    items = [(f"{group}:{name}", arr) for group, tensors in groups.items() for name, arr in tensors.items()]
+    for i, (key, arr) in enumerate(items):
+        manifest["tensors"][key] = write_tensor(path, f"t{i:04d}.bin", arr)
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
@@ -358,18 +355,15 @@ def load_checkpoint(path):
     if not manifest_path.exists():
         raise FileNotFoundError(f"no checkpoint manifest under {path}")
     manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format") != "modalflow-checkpoint-v1":
+    if manifest.get("format") != "modalflow-checkpoint-v2":
         raise ValueError(f"unrecognized checkpoint format {manifest.get('format')!r}")
 
     groups = {"param": {}, "adam_m": {}, "adam_v": {}}
-    for key, meta in manifest["tensors"].items():
-        group, name = key.split(":", 1)
-        shape = tuple(int(s) for s in meta["shape"])
-        raw = (path / meta["file"]).read_bytes()
-        expected = int(np.prod(shape, dtype=np.int64)) * 8
-        if len(raw) != expected:
-            raise ValueError(f"checkpoint tensor '{key}' holds {len(raw)} bytes, expected {expected}")
-        groups[group][name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    for key, entry in manifest["tensors"].items():
+        group, sep, name = key.partition(":")
+        if not sep or group not in groups:
+            raise ValueError(f"checkpoint tensor '{key}': group must be one of {tuple(groups)}")
+        groups[group][name] = read_tensor(path, entry, key)
     return Checkpoint(
         params=groups["param"],
         optimizer={"step": int(manifest["optimizer_step"]), "m": groups["adam_m"], "v": groups["adam_v"]},

@@ -49,7 +49,11 @@ def make_mia(rng, dim=3, hidden=2, zero_residual=False, grad=False):
     )
 
 
+# raw feature size per modality of the tiny test data
+TINY_RAW_DIMS = {"a": 3, "v": 2, "t": 4}
+
+
 def tiny_model_config(**kw):
-    defaults = dict(dim=3, mia_hidden=2, seq_len=2, raw_dim_a=3, raw_dim_v=2, raw_dim_t=4)
+    defaults = dict(dim=3, mia_hidden=2)
     defaults.update(kw)
     return ModelConfig(**defaults)

@@ -13,10 +13,7 @@ TINY = {
         "n_train": 48, "n_val": 16, "n_test": 16, "seq_len": 2,
         "raw_dim_a": 5, "raw_dim_v": 4, "raw_dim_t": 6, "latent_dim": 4, "seed": 1,
     },
-    "model": {
-        "dim": 4, "mia_hidden": 2, "seq_len": 2,
-        "raw_dim_a": 5, "raw_dim_v": 4, "raw_dim_t": 6,
-    },
+    "model": {"dim": 4, "mia_hidden": 2},
     "train": {"epochs": 2, "patience": 2, "batch_size": 16},
 }
 
@@ -102,13 +99,22 @@ def test_set_override_changes_run(workdir, tmp_path, capsys):
     assert echoed["train"]["epochs"] == 1
 
 
-def test_mismatched_model_config_fails_cleanly(workdir, tmp_path, capsys):
+def test_model_shape_keys_are_unknown(workdir, tmp_path, capsys):
     code = main([
         "train", "--config", str(workdir["config"]), "--data", str(workdir["data"]),
-        "--out", str(tmp_path / "x"), "--set", "model.dim=8", "--set", "model.raw_dim_a=9",
+        "--out", str(tmp_path / "x"), "--set", "model.raw_dim_a=9",
     ])
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    assert "unknown key 'model.raw_dim_a'" in capsys.readouterr().err
+
+
+def test_eval_on_data_of_other_raw_dims_fails_cleanly(workdir, tmp_path, capsys):
+    other = tmp_path / "other"
+    assert main(["gen-data", "--config", str(workdir["config"]), "--out", str(other),
+                 "--set", "synth.raw_dim_a=9"]) == 0
+    code = main(["eval", "--checkpoint", str(workdir["run"]), "--data", str(other)])
+    assert code == 1
+    assert "modality 'a' raw dim 9" in capsys.readouterr().err
 
 
 def test_bad_config_file_exit_code(tmp_path, capsys):

@@ -122,3 +122,4 @@ def test_config_to_dict_has_all_sections():
     assert set(out) == {"synth", "model", "loss", "train", "eval"}
     assert "weights" not in out["train"]
     assert "eval_acc_rule" not in out["train"]
+    assert set(out["model"]) == {"dim", "mia_hidden", "tau_attn"}

@@ -187,8 +187,12 @@ def test_load_missing_manifest(tmp_path):
 def test_load_truncated_file_names_tensor(small_data, tmp_path):
     save_dataset(small_data, tmp_path / "ds")
     f = tmp_path / "ds" / "val_labels.bin"
-    f.write_bytes(f.read_bytes()[:-8])
+    full = f.read_bytes()
+    f.write_bytes(full[:-8])
     with pytest.raises(DatasetError, match="val/labels"):
+        load_dataset(tmp_path / "ds")
+    f.write_bytes(full + bytes(8))
+    with pytest.raises(DatasetError, match=f"'val/labels' file holds {len(full) + 8} bytes"):
         load_dataset(tmp_path / "ds")
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from builders import make_mia, make_umca, tiny_model_config
+from builders import TINY_RAW_DIMS, make_mia, make_umca, tiny_model_config
 from modalflow.fusion import (
     MODALITIES,
     SUBSETS,
@@ -38,7 +38,7 @@ def random_inputs(rng, umca, batch=2, seq=3):
 
 def test_model_config_defaults():
     cfg = ModelConfig()
-    assert cfg.dim == 32 and cfg.seq_len == 8
+    assert cfg.dim == 32 and cfg.mia_hidden == 16
     assert cfg.tau_attn == pytest.approx(np.sqrt(32))
 
 
@@ -53,10 +53,11 @@ def test_model_config_validation():
 
 def test_init_model_deterministic_and_complete():
     cfg = tiny_model_config()
-    a = init_model(cfg, seed=5)
-    b = init_model(cfg, seed=5)
-    c = init_model(cfg, seed=6)
+    a = init_model(cfg, TINY_RAW_DIMS, seed=5)
+    b = init_model(cfg, TINY_RAW_DIMS, seed=5)
+    c = init_model(cfg, TINY_RAW_DIMS, seed=6)
     assert list(a) == list(b)
+    assert {m: a[f"proj.{m}.W"].shape for m in MODALITIES} == {m: (d, cfg.dim) for m, d in TINY_RAW_DIMS.items()}
     assert all(np.array_equal(a[k].values, b[k].values) for k in a)
     assert any(not np.array_equal(a[k].values, c[k].values) for k in a)
     umca, mia1, mia2 = param_views(a, cfg)
@@ -317,12 +318,8 @@ def test_umca_gate_changes_text_representation_only_through_mia(rng):
 
 def test_umca_gradient_check_end_to_end(rng):
     cfg = tiny_model_config()
-    store = init_model(cfg, seed=0)
-    raws = {
-        "a": rng.normal(size=(2, 2, cfg.raw_dim_a)),
-        "v": rng.normal(size=(2, 2, cfg.raw_dim_v)),
-        "t": rng.normal(size=(2, 2, cfg.raw_dim_t)),
-    }
+    store = init_model(cfg, TINY_RAW_DIMS, seed=0)
+    raws = {m: rng.normal(size=(2, 2, TINY_RAW_DIMS[m])) for m in MODALITIES}
     names = list(store)
 
     def f(p):
@@ -338,10 +335,10 @@ def test_umca_gradient_check_end_to_end(rng):
 
 def test_umca_all_params_receive_gradient(rng):
     cfg = tiny_model_config()
-    store = init_model(cfg, seed=1)
+    store = init_model(cfg, TINY_RAW_DIMS, seed=1)
     umca, mia1, mia2 = param_views(store, cfg)
     E = {
-        m: project_modality(Tensor(rng.normal(size=(3, 2, cfg.raw_dim(m)))), m, umca)
+        m: project_modality(Tensor(rng.normal(size=(3, 2, TINY_RAW_DIMS[m]))), m, umca)
         for m in MODALITIES
     }
     out = umca_forward(E, umca, mia=(mia1, mia2))

@@ -10,7 +10,7 @@ from modalflow.fusion import init_model
 from modalflow.nn import AdamState, adam_step
 from modalflow.tensor import Tensor, backward, grad_check
 
-from builders import tiny_model_config
+from builders import TINY_RAW_DIMS, tiny_model_config
 
 
 def test_param_shape_validation():
@@ -126,7 +126,7 @@ def test_gradient_check(rng):
 def test_two_instances_are_disjoint(rng):
     """Updating one imagination module never moves the other's weights."""
     cfg = tiny_model_config()
-    store = init_model(cfg, seed=0)
+    store = init_model(cfg, TINY_RAW_DIMS, seed=0)
     mia1_names = [n for n in store if n.startswith("mia1.")]
     mia2_names = [n for n in store if n.startswith("mia2.")]
     assert len(mia1_names) == len(mia2_names) == 4

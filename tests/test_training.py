@@ -1,3 +1,4 @@
+import json
 import warnings
 from dataclasses import replace
 
@@ -5,9 +6,9 @@ import numpy as np
 import pytest
 
 import modalflow.training as training
-from builders import tiny_model_config
+from builders import TINY_RAW_DIMS, tiny_model_config
 from modalflow.data import SynthConfig, batch_iter, generate_dataset
-from modalflow.fusion import ModelConfig, init_model
+from modalflow.fusion import MODALITIES, ModelConfig, init_model
 from modalflow.losses import LossWeights
 from modalflow.nn import AdamState
 from modalflow.tensor import Tensor, ancestors, backward
@@ -36,8 +37,8 @@ from modalflow.training import (
 
 MODEL = tiny_model_config()
 SYNTH = dict(
-    n_train=60, n_val=20, n_test=20, seq_len=MODEL.seq_len,
-    raw_dim_a=MODEL.raw_dim_a, raw_dim_v=MODEL.raw_dim_v, raw_dim_t=MODEL.raw_dim_t,
+    n_train=60, n_val=20, n_test=20, seq_len=2,
+    raw_dim_a=TINY_RAW_DIMS["a"], raw_dim_v=TINY_RAW_DIMS["v"], raw_dim_t=TINY_RAW_DIMS["t"],
     latent_dim=4, seed=2,
 )
 
@@ -88,7 +89,7 @@ def test_flows_collapse_when_sim_text_is_real(tiny_data):
     """rho = 0 data plus a zero-residual imagination module makes both flows identical."""
     cfg = SynthConfig(**{**SYNTH, "text_degradation": 0.0})
     data = generate_dataset(cfg)
-    store = init_model(MODEL, seed=0)
+    store = init_model(MODEL, TINY_RAW_DIMS, seed=0)
     for tag in ("mia1", "mia2"):
         store[f"{tag}.W2"].values[:] = 0.0
         store[f"{tag}.b2"].values[:] = 0.0
@@ -100,7 +101,7 @@ def test_flows_collapse_when_sim_text_is_real(tiny_data):
 def test_gate_off_bypass_bit_identical(tiny_data):
     """With imagination ablated, perturbing the module weights cannot move the output."""
     batch = first_batch(tiny_data["train"])
-    store = init_model(MODEL, seed=1)
+    store = init_model(MODEL, TINY_RAW_DIMS, seed=1)
     spec = AblationSpec(use_mia=False)
     _, m1 = halves(run_double_flow(batch, store, MODEL, spec).y_hat.values, batch.n)
     for tag in ("mia1", "mia2"):
@@ -112,7 +113,7 @@ def test_gate_off_bypass_bit_identical(tiny_data):
 
 def test_sim_text_off_feeds_zeros(tiny_data):
     batch = first_batch(tiny_data["train"])
-    store = init_model(MODEL, seed=1)
+    store = init_model(MODEL, TINY_RAW_DIMS, seed=1)
     def missing_y_hat(b, spec):
         return halves(run_double_flow(b, store, MODEL, spec).y_hat.values, b.n)[1]
 
@@ -126,7 +127,7 @@ def test_sim_text_off_feeds_zeros(tiny_data):
 
 
 def test_flows_finite_on_random_batches(tiny_data):
-    store = init_model(MODEL, seed=3)
+    store = init_model(MODEL, TINY_RAW_DIMS, seed=3)
     rng = np.random.default_rng(0)
     n = 16
     for _ in range(100):
@@ -146,7 +147,7 @@ def test_flows_finite_on_random_batches(tiny_data):
 def test_inference_feeds_the_training_flows(tiny_data, spec):
     """Per mode, prediction on one batch is bit-identical to the matching training flow."""
     val = tiny_data["val"]
-    store = init_model(MODEL, seed=4)
+    store = init_model(MODEL, TINY_RAW_DIMS, seed=4)
     flow = run_double_flow(first_batch(val), store, MODEL, spec)
     y_hats = dict(zip(MODES, halves(flow.y_hat.values, 16)))
     reps = dict(zip(MODES, halves(flow.r.values, 16)))
@@ -164,7 +165,7 @@ def test_distillation_detach_contract(tiny_data):
 
     batch = first_batch(tiny_data["train"])
     n = batch.n
-    store = init_model(MODEL, seed=0)
+    store = init_model(MODEL, TINY_RAW_DIMS, seed=0)
     flow = run_double_flow(batch, store, MODEL)
 
     def mkd_terms(stage1_t, seq_t):
@@ -194,7 +195,7 @@ def test_distillation_detach_contract(tiny_data):
 
 def test_train_step_report_identity(tiny_data):
     batch = first_batch(tiny_data["train"])
-    store = init_model(MODEL, seed=0)
+    store = init_model(MODEL, TINY_RAW_DIMS, seed=0)
     weights = LossWeights()
     report = train_step(batch, store, MODEL, AdamState(), weights)
     recomputed = (
@@ -207,7 +208,7 @@ def test_train_step_report_identity(tiny_data):
 
 def test_train_step_ablated_terms_zero(tiny_data):
     batch = first_batch(tiny_data["train"])
-    store = init_model(MODEL, seed=0)
+    store = init_model(MODEL, TINY_RAW_DIMS, seed=0)
     spec = AblationSpec(use_mkd=False, use_rs=False, use_rnc=False)
     report = train_step(batch, store, MODEL, AdamState(), LossWeights(), spec)
     assert report.mkd1 == report.mkd2 == report.rs == report.rnc == 0.0
@@ -216,7 +217,7 @@ def test_train_step_ablated_terms_zero(tiny_data):
 
 def test_train_step_decreases_loss_on_repeated_batch(tiny_data):
     batch = first_batch(tiny_data["train"])
-    store = init_model(MODEL, seed=0)
+    store = init_model(MODEL, TINY_RAW_DIMS, seed=0)
     opt = AdamState(lr=1e-2)
     weights = LossWeights()
     first = train_step(batch, store, MODEL, opt, weights)
@@ -230,7 +231,7 @@ def test_train_step_short_final_batch(tiny_data):
     train = tiny_data["train"]
     batch = list(batch_iter(train, 16))[-1]
     assert batch.n == 12
-    store = init_model(MODEL, seed=0)
+    store = init_model(MODEL, TINY_RAW_DIMS, seed=0)
     values = {name: t.values for name, t in store.items()}
     preds = {mode: _predict(train, values, MODEL, mode, AblationSpec(), batch_size=16) for mode in MODES}
     report = train_step(batch, store, MODEL, AdamState(), LossWeights())
@@ -246,7 +247,8 @@ def test_default_config_step_graph_size(monkeypatch):
     """One default-config step is one stacked forward: 213 graph nodes (two
     separate flow graphs took 303). A change that splits the flows again fails here."""
     model = ModelConfig()
-    data = generate_dataset(SynthConfig(n_train=32, n_val=1, n_test=1))
+    synth = SynthConfig(n_train=32, n_val=1, n_test=1)
+    data = generate_dataset(synth)
     batch = first_batch(data["train"], 32)
     counted = []
 
@@ -255,7 +257,8 @@ def test_default_config_step_graph_size(monkeypatch):
         return backward(loss)
 
     monkeypatch.setattr(training, "backward", counting)
-    train_step(batch, init_model(model, seed=0), model, AdamState(), LossWeights())
+    store = init_model(model, {m: synth.raw_dim(m) for m in MODALITIES}, seed=0)
+    train_step(batch, store, model, AdamState(), LossWeights())
     assert counted == [213]
 
 
@@ -408,7 +411,7 @@ def test_similarity_matrix_diagonal_zero_for_identical_flows():
     """rho = 0 data and a zero-residual module give r_i^c == r_i^m, so diag == 0."""
     cfg = SynthConfig(**{**SYNTH, "text_degradation": 0.0})
     data = generate_dataset(cfg)
-    store = init_model(MODEL, seed=0)
+    store = init_model(MODEL, TINY_RAW_DIMS, seed=0)
     for tag in ("mia1", "mia2"):
         store[f"{tag}.W2"].values[:] = 0.0
         store[f"{tag}.b2"].values[:] = 0.0
@@ -466,6 +469,36 @@ def test_load_checkpoint_accepts_run_directory(tiny_data, tiny_train_config, tmp
 def test_load_checkpoint_missing(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_checkpoint(tmp_path / "nothing")
+
+
+@pytest.mark.parametrize(
+    "kind, match",
+    [
+        ("truncated_file", r"tensor 'param:head\.W' file holds"),
+        ("declared_bytes", r"tensor 'param:head\.W' manifest shape"),
+        ("unknown_group", r"'foo:head\.W'"),
+        ("v1_manifest", r"format 'modalflow-checkpoint-v1'"),
+    ],
+    ids=["truncated_file", "declared_bytes", "unknown_group", "v1_manifest"],
+)
+def test_load_checkpoint_rejects_corruption(fitted, tmp_path, kind, match):
+    save_checkpoint(fitted[0], tmp_path / "ckpt")
+    mpath = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    entry = manifest["tensors"]["param:head.W"]
+    if kind == "truncated_file":
+        f = tmp_path / "ckpt" / entry["file"]
+        f.write_bytes(f.read_bytes()[:-8])
+    elif kind == "declared_bytes":
+        entry["bytes"] += 8
+    elif kind == "unknown_group":
+        manifest["tensors"]["foo:head.W"] = manifest["tensors"].pop("param:head.W")
+    else:  # a manifest written before the model's shape settings were dropped
+        manifest["format"] = "modalflow-checkpoint-v1"
+        manifest["model_config"].update(seq_len=2, raw_dim_a=3, raw_dim_v=2, raw_dim_t=4)
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=match):
+        load_checkpoint(tmp_path / "ckpt")
 
 
 def test_loaded_checkpoint_evaluates_identically(tiny_data, fitted, tmp_path):
