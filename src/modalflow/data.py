@@ -28,6 +28,9 @@ TENSOR_FIELDS = ("audio", "vision", "text", "sim_text", "labels")
 # Text carries the strongest signal; noise levels keep audio ahead of vision.
 TEXT_SIGNAL_GAIN = 1.2
 
+# the codec's one element type, declared as "dtype" in every manifest
+TENSOR_DTYPE = "<f8"
+
 
 class DatasetError(ValueError):
     """Invalid dataset configuration or on-disk tensor state."""
@@ -171,7 +174,7 @@ def generate_dataset(config):
 def write_tensor(directory, fname, arr):
     """Write one array as a `<f8` file under `directory`; returns its manifest
     entry {file, shape, bytes}."""
-    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    raw = np.ascontiguousarray(arr, dtype=TENSOR_DTYPE).tobytes()
     (Path(directory) / fname).write_bytes(raw)
     return {"file": fname, "shape": list(np.shape(arr)), "bytes": len(raw)}
 
@@ -179,9 +182,13 @@ def write_tensor(directory, fname, arr):
 def read_tensor(directory, entry, name):
     """Read back the array of a `write_tensor` manifest entry.
 
-    Checks that the shape, the declared byte count and the file length agree;
-    a mismatch raises DatasetError naming the tensor as `name`.
+    Checks that the entry has every key and that the shape, the declared byte
+    count and the file length agree; a failure raises DatasetError naming the
+    tensor as `name`.
     """
+    missing = [key for key in ("file", "shape", "bytes") if key not in entry]
+    if missing:
+        raise DatasetError(f"load: tensor '{name}' manifest entry lacks {', '.join(map(repr, missing))}")
     shape = tuple(int(s) for s in entry["shape"])
     expected = int(np.prod(shape, dtype=np.int64)) * 8
     if expected != int(entry["bytes"]):
@@ -195,7 +202,13 @@ def read_tensor(directory, entry, name):
         size = fh.readinto(raw) + len(fh.read())
     if size != expected:
         raise DatasetError(f"load: tensor '{name}' file holds {size} bytes, expected {expected}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape)
+    return np.frombuffer(raw, dtype=TENSOR_DTYPE).reshape(shape)
+
+
+def check_dtype(manifest, where):
+    """Reject a manifest that declares an element type other than the codec's."""
+    if manifest.get("dtype") != TENSOR_DTYPE:
+        raise DatasetError(f"load: {where} declares dtype {manifest.get('dtype')!r}, expected {TENSOR_DTYPE!r}")
 
 
 def save_dataset(datasets, path):
@@ -206,7 +219,7 @@ def save_dataset(datasets, path):
     path.mkdir(parents=True, exist_ok=True)
     manifest = {
         "format": "modalflow-dataset-v1",
-        "dtype": "<f8",
+        "dtype": TENSOR_DTYPE,
         "config": asdict(next(iter(datasets.values())).config),
         "splits": {},
     }
@@ -230,6 +243,7 @@ def load_dataset(path, split=None):
     manifest = json.loads(manifest_path.read_text())
     if manifest.get("format") != "modalflow-dataset-v1":
         raise DatasetError(f"load: unrecognized format {manifest.get('format')!r}")
+    check_dtype(manifest, manifest_path)
     config = SynthConfig(**manifest["config"])
 
     out = {}

@@ -6,10 +6,11 @@
 - rs: same RMSE form with no detach, pulling both flows' final
   representations together.
 - rnc: rank contrast over the 2N concatenated final representations of both
-  flows, ordering representation distances by label distances. Each anchor's
-  candidates are sorted by label distance once, so the denominators are
-  suffix sums and the loss costs O(N^2 log N); the oracle builds every
-  candidate set explicitly, in O(N^3).
+  flows, ordering representation distances by label distances. It is one
+  graph node, `tensor.rank_contrast`, with the label distances as sort keys:
+  each anchor's candidates are sorted once, so the denominators are suffix
+  sums and the loss costs O(N^2 log N); the oracle builds every candidate set
+  explicitly, in O(N^3).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, pairwise_dist, suffix_sum
+from .tensor import Tensor, rank_contrast
 
 
 @dataclass
@@ -91,10 +92,13 @@ def rnc_loss(reps, labels, tau_rnc):
     competes against every k != i whose label distance to i is >= that of j;
     the total applies the -1/(2N-1) factor and the 1/(2N) average.
 
-    With n = 2N, each anchor's row is sorted by label distance once and every
-    denominator is a suffix sum over that order (`tensor.suffix_sum`, ties
-    read from the first index of their group), so the loss costs
-    O(n^2 log n + n^2 D) time and O(n^2 D) memory, no O(n^3) array.
+    With n = 2N, the label distances |y_i - y_k| are the sort keys of
+    `tensor.rank_contrast`, one graph node that sorts each anchor's row once
+    and reads every denominator as a suffix sum over that order (ties read
+    from the first index of their group). The diagonal key is -inf, so the
+    anchor enters no denominator. The loss costs O(n^2 log n + n^2 D) time and
+    O(n^2 D) memory, no O(n^3) array. Representations more than ~745 * tau
+    apart make exp(-d/tau) underflow, and `tensor.DomainError` is raised.
     """
     reps = reps if isinstance(reps, Tensor) else Tensor(reps)
     labels = np.asarray(labels, dtype=np.float64)
@@ -113,11 +117,7 @@ def rnc_loss(reps, labels, tau_rnc):
     label_dist = np.abs(labels[:, None] - labels[None, :])
     # the anchor sorts below every candidate, so it enters no denominator
     np.fill_diagonal(label_dist, -np.inf)
-    e = (pairwise_dist(reps) * (-1.0 / tau_rnc)).exp()  # exp(sim / tau), [2N, 2N]
-    ratio = e / suffix_sum(e, label_dist)
-    off_diag = Tensor(1.0 - np.eye(n))
-    log_terms = (ratio.log() * off_diag).sum()
-    return log_terms * (-1.0 / (n * (n - 1)))
+    return rank_contrast(reps, label_dist, tau_rnc)
 
 
 def rnc_oracle(reps, labels, tau_rnc):

@@ -96,9 +96,7 @@ class Tensor:
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        return div(self, _lift(other))
+        return scale(self, 1.0 / float(other))
 
     def __neg__(self):
         return scale(self, -1.0)
@@ -110,12 +108,6 @@ class Tensor:
 
     def tanh(self):
         return tanh(self)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
 
     def sqrt(self):
         return sqrt(self)
@@ -207,19 +199,6 @@ def mul(a, b):
         return ga, gb
 
     return _result("mul", av * bv, (a, b), bwd)
-
-
-def div(a, b):
-    a, b = _lift(a), _lift(b)
-    _check_broadcast("div", a, b)
-    av, bv = a.values, b.values
-
-    def bwd(g):
-        ga = _unbroadcast(g / bv, a.shape) if a.attached else None
-        gb = _unbroadcast(-g * av / (bv * bv), b.shape) if b.attached else None
-        return ga, gb
-
-    return _result("div", av / bv, (a, b), bwd)
 
 
 def scale(a, factor):
@@ -340,28 +319,6 @@ def tanh(a):
     return _result("tanh", y, (a,), bwd)
 
 
-def exp(a):
-    a = _lift(a)
-    y = np.exp(a.values)
-
-    def bwd(g):
-        return (g * y,)
-
-    return _result("exp", y, (a,), bwd)
-
-
-def log(a):
-    a = _lift(a)
-    if np.any(a.values <= 0.0):
-        raise DomainError("log: operand has non-positive entries")
-    av = a.values
-
-    def bwd(g):
-        return (g / av,)
-
-    return _result("log", np.log(av), (a,), bwd)
-
-
 def sqrt(a):
     a = _lift(a)
     if np.any(a.values < 0.0):
@@ -405,67 +362,72 @@ def softmax(a, axis=-1, tau=1.0):
     return _result("softmax", y, (a,), bwd)
 
 
-def suffix_sum(a, keys):
-    """out[i, j] = sum of a[i, k] over the k with keys[i, k] >= keys[i, j].
+def rank_contrast(a, keys, tau):
+    """Rank-N-Contrast loss (Zha et al., 2023) over the n rows of a [n, D].
 
-    `keys` is a constant array of a's shape; -inf is allowed, NaN is not. Each
-    row is sorted once and summed in reverse, so a [n, m] input costs
-    O(n m log m) time and O(n m) memory. Tied keys share one tie group, and
-    every member of a group reads the sum from the group's first sorted index.
+    With d_ij = ||a_i - a_j||_2 and e_ij = exp(-d_ij / tau), the output is
+    -1/(n(n-1)) * sum over i != j of log(e_ij / sum of e_ik over the k with
+    keys[i, k] >= keys[i, j]). `keys` is a constant [n, n] array; -inf is
+    allowed, NaN is not, and a -inf key at [i, i] keeps the anchor out of
+    every denominator.
+
+    Each row of keys is sorted once and the denominators are reverse cumulative
+    sums over that order: O(n^2 (D + log n)) time, O(n^2 D) memory. Tied keys
+    share one tie group, and every member reads the sum from the group's first
+    sorted index. Distances come from direct differences, so close rows stay
+    accurate at any norm; where a distance is 0 (the diagonal, coincident rows)
+    the gradient uses subgradient 0, as ``sqrt`` does.
     """
     a = _lift(a)
     keys = np.asarray(keys, dtype=np.float64)
-    if a.ndim != 2 or keys.shape != a.shape:
-        raise ShapeError(f"suffix_sum: need 2-D values and keys of one shape, got {a.shape} and {keys.shape}")
+    if a.ndim != 2 or a.shape[0] < 2 or keys.shape != (a.shape[0], a.shape[0]):
+        raise ShapeError(f"rank_contrast: need [n, D] with n >= 2 and [n, n] keys, got {a.shape} and {keys.shape}")
     if np.isnan(keys).any():
-        raise DomainError("suffix_sum: keys contain NaN")
+        raise DomainError("rank_contrast: keys contain NaN")
+    tau = float(tau)
+    if not tau > 0.0:
+        raise DomainError(f"rank_contrast: temperature must be positive, got {tau}")
+    n = a.shape[0]
+    av = a.values
+    diff = av[:, None, :] - av[None, :, :]
+    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    e = np.exp(d * (-1.0 / tau))
+    if not e.all():
+        raise DomainError(f"rank_contrast: exp(-d/tau) underflows to 0 at distance {d.max():.6g} > ~745 * tau ({tau})")
+
     # tie groups are contiguous in any sorted order, so the sort need not be stable
     order = np.argsort(keys, axis=1)
     sorted_keys = np.take_along_axis(keys, order, axis=1)
-    pos = np.broadcast_to(np.arange(keys.shape[1]), keys.shape)
+    pos = np.broadcast_to(np.arange(n), keys.shape)
     starts = np.ones(keys.shape, dtype=bool)
     starts[:, 1:] = sorted_keys[:, 1:] != sorted_keys[:, :-1]
     ends = np.ones(keys.shape, dtype=bool)
     ends[:, :-1] = starts[:, 1:]
     # first / last sorted index of each position's tie group
     first = np.maximum.accumulate(np.where(starts, pos, 0), axis=1)
-    last = np.minimum.accumulate(np.where(ends, pos, keys.shape[1])[:, ::-1], axis=1)[:, ::-1]
+    last = np.minimum.accumulate(np.where(ends, pos, n)[:, ::-1], axis=1)[:, ::-1]
 
     def unsort(v, group_index):
         out = np.empty_like(v)
         np.put_along_axis(out, order, np.take_along_axis(v, group_index, axis=1), axis=1)
         return out
 
-    suffix = np.cumsum(np.take_along_axis(a.values, order, axis=1)[:, ::-1], axis=1)[:, ::-1]
+    denom = unsort(np.cumsum(np.take_along_axis(e, order, axis=1)[:, ::-1], axis=1)[:, ::-1], first)
+    ratio = e / denom
+    off_diag = 1.0 - np.eye(n)
+    mean = -1.0 / (n * (n - 1))
 
     def bwd(g):
-        # a at sorted index q enters every position whose group starts at or
-        # before q: all positions up to the end of q's own group
-        return (unsort(np.cumsum(np.take_along_axis(g, order, axis=1), axis=1), last),)
-
-    return _result("suffix_sum", unsort(suffix, first), (a,), bwd)
-
-
-def pairwise_dist(a):
-    """out[i, j] = ||a[i] - a[j]||_2 over the rows of a [n, D].
-
-    Computed from direct differences, so rows that are close stay accurate at
-    any norm. Where a distance is 0 (the diagonal, coincident rows) the
-    gradient uses subgradient 0, as ``sqrt`` does. O(n^2 D) both ways.
-    """
-    a = _lift(a)
-    if a.ndim != 2:
-        raise ShapeError(f"pairwise_dist: need [n, D], got {a.shape}")
-    av = a.values
-    diff = av[:, None, :] - av[None, :, :]
-    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-    def bwd(g):
-        w = np.divide(g, d, out=np.zeros_like(d), where=d > 0)
+        g_log = np.broadcast_to(g * mean, d.shape) * off_diag / ratio
+        g_denom = -g_log * e / (denom * denom)
+        # e_ik at sorted index q enters every denominator whose tie group starts
+        # at or before q: all positions up to the end of q's own group
+        g_e = g_log / denom + unsort(np.cumsum(np.take_along_axis(g_denom, order, axis=1), axis=1), last)
+        w = np.divide(g_e * e * (-1.0 / tau), d, out=np.zeros_like(d), where=d > 0)
         w = w + w.T
         return (w.sum(axis=1)[:, None] * av - w @ av,)
 
-    return _result("pairwise_dist", d, (a,), bwd)
+    return _result("rank_contrast", (np.log(ratio) * off_diag).sum() * mean, (a,), bwd)
 
 
 def reduce_sum(a, axis=None, keepdims=False):

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import batch_iter, read_tensor, write_tensor
+from .data import TENSOR_DTYPE, batch_iter, check_dtype, read_tensor, write_tensor
 from .fusion import MODALITIES, ModelConfig, init_model, param_views, project_modality, umca_forward
 from .losses import LossWeights, make_report, mkd_loss, rnc_loss, rs_loss, task_loss, total_loss
 from .nn import AdamState, adam_step
@@ -192,17 +192,17 @@ def compute_metrics(labels, preds, acc_rule="sign"):
     return mae, acc
 
 
-def evaluate(dataset, checkpoint, mode, acc_rule=None, batch_size=256):
-    """(MAE, ACC) of a checkpoint on one dataset in one inference mode."""
-    acc_rule = acc_rule or checkpoint.train_config.eval_acc_rule
-    preds, _ = _predict(dataset, checkpoint.params, checkpoint.model_config, mode, checkpoint.ablation, batch_size)
+def evaluate(dataset, checkpoint, mode):
+    """(MAE, ACC) of a checkpoint on one dataset in one inference mode, with
+    the checkpoint's accuracy rule."""
+    preds, _ = _predict(dataset, checkpoint.params, checkpoint.model_config, mode, checkpoint.ablation)
     if mode == "missing" and not (checkpoint.ablation.use_mia or checkpoint.ablation.use_mkd):
         warnings.warn(
             "checkpoint was trained without imagination or distillation; "
             "missing-mode evaluation may be degraded",
             stacklevel=2,
         )
-    return compute_metrics(dataset.labels, preds, acc_rule)
+    return compute_metrics(dataset.labels, preds, checkpoint.train_config.eval_acc_rule)
 
 
 def performance_gap(metrics_complete, metrics_missing):
@@ -212,15 +212,15 @@ def performance_gap(metrics_complete, metrics_missing):
     return abs(mae_m - mae_c), abs(acc_c - acc_m)
 
 
-def similarity_matrix(checkpoint, dataset, batch_size=256):
+def similarity_matrix(checkpoint, dataset):
     """Cross-flow L2 distances sorted by label: entry (i, j) = ||r_i^c - r_j^m||.
 
     Returns (matrix [n, n], labels sorted ascending).
     """
     if dataset.n < 2:
         raise ValueError("similarity_matrix: need at least 2 samples")
-    _, reps_c = _predict(dataset, checkpoint.params, checkpoint.model_config, "complete", checkpoint.ablation, batch_size)
-    _, reps_m = _predict(dataset, checkpoint.params, checkpoint.model_config, "missing", checkpoint.ablation, batch_size)
+    _, reps_c = _predict(dataset, checkpoint.params, checkpoint.model_config, "complete", checkpoint.ablation)
+    _, reps_m = _predict(dataset, checkpoint.params, checkpoint.model_config, "missing", checkpoint.ablation)
     order = np.argsort(dataset.labels, kind="stable")
     rc = reps_c[order]
     rm = reps_m[order]
@@ -331,7 +331,7 @@ def save_checkpoint(checkpoint, path):
     path.mkdir(parents=True, exist_ok=True)
     manifest = {
         "format": "modalflow-checkpoint-v2",
-        "dtype": "<f8",
+        "dtype": TENSOR_DTYPE,
         "epoch": checkpoint.epoch,
         "best_val_mae": checkpoint.best_val_mae,
         "optimizer_step": checkpoint.optimizer["step"],
@@ -357,6 +357,7 @@ def load_checkpoint(path):
     manifest = json.loads(manifest_path.read_text())
     if manifest.get("format") != "modalflow-checkpoint-v2":
         raise ValueError(f"unrecognized checkpoint format {manifest.get('format')!r}")
+    check_dtype(manifest, manifest_path)
 
     groups = {"param": {}, "adam_m": {}, "adam_v": {}}
     for key, entry in manifest["tensors"].items():
@@ -364,12 +365,17 @@ def load_checkpoint(path):
         if not sep or group not in groups:
             raise ValueError(f"checkpoint tensor '{key}': group must be one of {tuple(groups)}")
         groups[group][name] = read_tensor(path, entry, key)
+    model_config = ModelConfig(**manifest["model_config"])
+    try:
+        param_views(groups["param"], model_config)
+    except KeyError as exc:
+        raise ValueError(f"checkpoint at {path} lacks model parameter 'param:{exc.args[0]}'") from None
     return Checkpoint(
         params=groups["param"],
         optimizer={"step": int(manifest["optimizer_step"]), "m": groups["adam_m"], "v": groups["adam_v"]},
         epoch=int(manifest["epoch"]),
         best_val_mae=float(manifest["best_val_mae"]),
-        model_config=ModelConfig(**manifest["model_config"]),
+        model_config=model_config,
         train_config=TrainConfig(**manifest["train_config"]),
         ablation=AblationSpec(**manifest["ablation"]),
     )

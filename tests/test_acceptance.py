@@ -34,9 +34,8 @@ from modalflow.tensor import (
     backward,
     concat,
     grad_check,
-    pairwise_dist,
+    rank_contrast,
     softmax,
-    suffix_sum,
 )
 from modalflow.training import (
     AblationSpec,
@@ -127,8 +126,16 @@ def _grad_cases(rng):
         x[-1] = x[0]
         return Tensor(x)
 
-    # tie groups of two and three, a -inf key, and an all-equal row
-    tied_keys = np.array([[0.5, 2.0, 0.5, -np.inf, 1.0], [1.0, 1.0, 3.0, 1.0, 0.0], [2.0] * 5])
+    # the -inf anchor diagonal, tie groups of two and three, and an all-equal row
+    tied_keys = np.array(
+        [
+            [-np.inf, 2.0, 0.5, 0.5, 1.0],
+            [1.0, -np.inf, 3.0, 1.0, 1.0],
+            [2.0, 2.0, -np.inf, 2.0, 2.0],
+            [0.5, 1.0, 1.5, -np.inf, 0.0],
+            [1.0, 1.0, 0.0, 2.0, -np.inf],
+        ]
+    )
 
     cases = {
         "matmul": lambda: (lambda p: (p[0] @ p[1]).sum(), [t((3, 4)), t((4, 2))]),
@@ -136,21 +143,17 @@ def _grad_cases(rng):
         "add": lambda: (lambda p: (p[0] + p[1]).square().sum(), [t((3, 4)), t((4,))]),
         "sub": lambda: (lambda p: (p[0] - p[1]).square().sum(), [t((3, 4)), t((3, 4))]),
         "mul": lambda: (lambda p: (p[0] * p[1]).sum(), [t((3, 4)), t((3, 1))]),
-        "div": lambda: (lambda p: (p[0] / p[1]).sum(), [t((3, 4)), pos((3, 4))]),
         "scale": lambda: (lambda p: (p[0] * -1.7).square().sum(), [t((3, 4))]),
         "concat": lambda: (lambda p: concat(p, axis=1).square().sum(), [t((2, 3)), t((2, 2))]),
         "slice": lambda: (lambda p: p[0].narrow(1, 1, 3).square().sum(), [t((3, 4))]),
         "reshape": lambda: (lambda p: p[0].reshape((4, 3)).tanh().sum(), [t((3, 4))]),
         "tanh": lambda: (lambda p: p[0].tanh().sum(), [t((3, 4))]),
-        "exp": lambda: (lambda p: p[0].exp().sum(), [t((3, 4))]),
-        "log": lambda: (lambda p: p[0].log().sum(), [pos((3, 4))]),
         "sqrt": lambda: (lambda p: p[0].sqrt().sum(), [pos((3, 4))]),
         "square": lambda: (lambda p: p[0].square().sum(), [t((3, 4))]),
         "softmax": lambda: (lambda p: softmax(p[0], axis=-1, tau=1.9).square().sum(), [t((3, 4))]),
         "sum": lambda: (lambda p: p[0].sum(axis=0).square().sum(), [t((3, 4))]),
         "mean": lambda: (lambda p: (p[0] - p[0].mean(axis=1, keepdims=True)).square().sum(), [t((3, 4))]),
-        "suffix_sum": lambda: (lambda p: suffix_sum(p[0], tied_keys).square().sum(), [t((3, 5))]),
-        "pairwise_dist": lambda: (lambda p: (pairwise_dist(p[0]) * p[1]).sum(), [coincident((4, 3)), t((4, 4))]),
+        "rank_contrast": lambda: (lambda p: rank_contrast(p[0], tied_keys, 1.3), [coincident((5, 3))]),
     }
 
     def cross_attend_case():

@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 import warnings
 from dataclasses import replace
 
@@ -115,6 +116,40 @@ def test_eval_on_data_of_other_raw_dims_fails_cleanly(workdir, tmp_path, capsys)
     code = main(["eval", "--checkpoint", str(workdir["run"]), "--data", str(other)])
     assert code == 1
     assert "modality 'a' raw dim 9" in capsys.readouterr().err
+
+
+def _edited_copy(src, dst, edit):
+    """Copy a dataset or checkpoint directory and apply `edit` to its manifest."""
+    shutil.copytree(src, dst)
+    manifest = json.loads((dst / "manifest.json").read_text())
+    edit(manifest)
+    (dst / "manifest.json").write_text(json.dumps(manifest))
+    return dst
+
+
+@pytest.mark.parametrize("key", ["file", "shape", "bytes"])
+def test_eval_manifest_entry_without_key_fails_cleanly(workdir, tmp_path, capsys, key):
+    data = _edited_copy(workdir["data"], tmp_path / "data",
+                        lambda m: m["splits"]["test"]["tensors"]["labels"].pop(key))
+    code = main(["eval", "--checkpoint", str(workdir["run"]), "--data", str(data)])
+    assert code == 1
+    assert f"tensor 'test/labels' manifest entry lacks '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["data", "checkpoint"])
+def test_eval_rejects_manifest_dtype_other_than_f8(workdir, tmp_path, capsys, target):
+    paths = {"data": workdir["data"], "checkpoint": workdir["run"] / "checkpoint"}
+    paths[target] = _edited_copy(paths[target], tmp_path / target, lambda m: m.update(dtype="<f4"))
+    code = main(["eval", "--checkpoint", str(paths["checkpoint"]), "--data", str(paths["data"])])
+    assert code == 1
+    assert "declares dtype '<f4', expected '<f8'" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_without_parameter_fails_cleanly(workdir, tmp_path, capsys):
+    ckpt = _edited_copy(workdir["run"] / "checkpoint", tmp_path / "ckpt", lambda m: m["tensors"].pop("param:head.W"))
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(workdir["data"])])
+    assert code == 1
+    assert "lacks model parameter 'param:head.W'" in capsys.readouterr().err
 
 
 def test_bad_config_file_exit_code(tmp_path, capsys):

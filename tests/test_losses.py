@@ -155,6 +155,19 @@ def test_rnc_with_identical_representations(rng):
     assert abs(got - want) < 1e-10
 
 
+def test_rnc_matches_oracle_for_close_rows_at_large_norm(rng):
+    # four rows within 1e-6 of each other at norm 1e3: the Gram form
+    # |a|^2 + |b|^2 - 2 a.b of their distances loses every digit
+    a = rng.normal(size=(1, 4))
+    a *= 1e3 / np.linalg.norm(a)
+    steps = rng.normal(size=(4, 4))
+    steps *= 1e-6 / np.linalg.norm(steps, axis=1, keepdims=True)
+    reps = a + steps
+    labels = np.array([0.3, -1.0, 0.3, -1.0])
+    got = rnc_loss(Tensor(reps), labels, 2.0).item()
+    assert abs(got - rnc_oracle(reps, labels, 2.0)) < 1e-10
+
+
 def test_rnc_single_pair_is_exactly_zero(rng):
     reps = rng.normal(size=(2, 5))
     labels = np.array([1.2, 1.2])

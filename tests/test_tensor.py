@@ -14,9 +14,8 @@ from modalflow.tensor import (
     grad_check,
     matmul,
     narrow,
-    pairwise_dist,
+    rank_contrast,
     softmax,
-    suffix_sum,
     transpose,
 )
 
@@ -173,18 +172,14 @@ def test_backward_rejects_detached_loss():
         lambda: narrow(Tensor(np.ones((2, 3))), 1, 2, 5),
         lambda: concat([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))], axis=1),
         lambda: matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 4)))),
-        lambda: suffix_sum(Tensor(np.ones((2, 3))), np.zeros((3, 2))),
-        lambda: pairwise_dist(Tensor(np.ones(3))),
+        lambda: rank_contrast(Tensor(np.ones((2, 3))), np.zeros((3, 2)), 1.0),
+        lambda: rank_contrast(Tensor(np.ones(3)), np.zeros((3, 3)), 1.0),
+        lambda: rank_contrast(Tensor(np.ones((1, 3))), np.zeros((1, 1)), 1.0),
     ],
 )
 def test_shape_errors(build):
     with pytest.raises(ShapeError):
         build()
-
-
-def test_log_domain_error():
-    with pytest.raises(DomainError):
-        Tensor(np.array([1.0, 0.0])).log()
 
 
 def test_sqrt_domain_error():
@@ -197,33 +192,37 @@ def test_softmax_rejects_non_positive_temperature():
         softmax(Tensor(np.ones((1, 2))), tau=0.0)
 
 
-def test_suffix_sum_matches_masked_loop(rng):
-    a = rng.normal(size=TIED_KEYS.shape)
-    got = suffix_sum(Tensor(a), TIED_KEYS).values
+def test_rank_contrast_matches_masked_loop(rng):
+    a = _coincident_rows(rng)[0].values
+    n = len(a)
+    e = np.exp(-np.linalg.norm(a[:, None, :] - a[None, :, :], axis=-1) / 1.3)
+    want = 0.0
     for i, row in enumerate(TIED_KEYS):
         for j, key in enumerate(row):
-            assert abs(got[i, j] - a[i][row >= key].sum()) < 1e-12
+            if j != i:
+                want += np.log(e[i, j] / e[i][row >= key].sum())
+    want *= -1.0 / (n * (n - 1))
+    assert abs(rank_contrast(Tensor(a), TIED_KEYS, 1.3).item() - want) < 1e-12
 
 
-def test_suffix_sum_nan_key_domain_error():
-    keys = np.zeros((2, 3))
-    keys[1, 1] = np.nan
+@pytest.mark.parametrize(
+    "keys, tau",
+    [(np.where(np.eye(4) > 0, np.nan, 1.0), 1.0), (np.ones((4, 4)), 0.0), (np.ones((4, 4)), np.nan)],
+    ids=["nan_key", "zero_tau", "nan_tau"],
+)
+def test_rank_contrast_domain_errors(keys, tau):
     with pytest.raises(DomainError):
-        suffix_sum(Tensor(np.ones((2, 3))), keys)
+        rank_contrast(Tensor(np.ones((4, 2))), keys, tau)
 
 
-def test_pairwise_dist_precise_for_close_rows_at_large_norm(rng):
-    # the Gram form |a|^2 + |b|^2 - 2 a.b loses all digits of this distance
-    a = rng.normal(size=(1, 4))
-    a *= 1e3 / np.linalg.norm(a)
-    step = rng.normal(size=(1, 4))
-    step *= 1e-6 / np.linalg.norm(step)
-    pts = np.concatenate([a, a + step])
-    want = np.linalg.norm(pts[1] - pts[0])
-    d = pairwise_dist(Tensor(pts)).values
-    assert d[0, 0] == 0.0 and d[1, 1] == 0.0
-    assert abs(d[0, 1] - want) <= 1e-9 * want
-    assert d[1, 0] == d[0, 1]
+def test_rank_contrast_underflow_domain_error():
+    # at tau = 2, exp(-1600 / 2) is 0 in float64: a numerator and its whole
+    # denominator vanish, which the log of their ratio cannot take
+    labels = np.array([0.0, 1.0, 0.0, 1.0])
+    keys = np.abs(labels[:, None] - labels[None, :])
+    np.fill_diagonal(keys, -np.inf)
+    with pytest.raises(DomainError, match="underflows"):
+        rank_contrast(Tensor(np.array([[0.0], [1600.0], [0.5], [1600.5]])), keys, 2.0)
 
 
 def test_sqrt_subgradient_zero_at_cusp():
@@ -271,15 +270,23 @@ def _points(rng, *shapes, positive=False):
     return out
 
 
-# tie groups of two and three, a -inf key, and an all-equal row
-TIED_KEYS = np.array([[0.5, 2.0, 0.5, -np.inf, 1.0], [1.0, 1.0, 3.0, 1.0, 0.0], [2.0, 2.0, 2.0, 2.0, 2.0]])
+# the -inf anchor diagonal, tie groups of two and three, and an all-equal row
+TIED_KEYS = np.array(
+    [
+        [-np.inf, 2.0, 0.5, 0.5, 1.0],
+        [1.0, -np.inf, 3.0, 1.0, 1.0],
+        [2.0, 2.0, -np.inf, 2.0, 2.0],
+        [0.5, 1.0, 1.5, -np.inf, 0.0],
+        [1.0, 1.0, 0.0, 2.0, -np.inf],
+    ]
+)
 
 
 def _coincident_rows(rng):
-    """Four points in 3-D whose rows 0 and 2 coincide, and a weight per pair."""
-    a = rng.normal(size=(4, 3))
+    """Five points in 3-D whose rows 0 and 2 coincide."""
+    a = rng.normal(size=(5, 3))
     a[2] = a[0]
-    return [Tensor(a), Tensor(rng.normal(size=(4, 4)))]
+    return [Tensor(a)]
 
 
 PRIMITIVE_CASES = {
@@ -290,21 +297,17 @@ PRIMITIVE_CASES = {
     "add": lambda r: (lambda p: (p[0] + p[1]).square().sum(), _points(r, (3, 4), (4,))),
     "sub": lambda r: (lambda p: (p[0] - p[1]).square().sum(), _points(r, (3, 4), (3, 4))),
     "mul": lambda r: (lambda p: (p[0] * p[1]).sum(), _points(r, (3, 4), (3, 1))),
-    "div": lambda r: (lambda p: (p[0] / p[1]).sum(), [_points(r, (3, 4))[0], Tensor(np.abs(r.normal(size=(3, 4))) + 1.0)]),
     "scale": lambda r: (lambda p: (p[0] * 2.5).square().sum(), _points(r, (3, 4))),
     "concat": lambda r: (lambda p: concat(p, axis=1).square().sum(), _points(r, (2, 3), (2, 2))),
     "slice": lambda r: (lambda p: p[0].narrow(1, 1, 3).square().sum(), _points(r, (3, 4))),
     "reshape": lambda r: (lambda p: p[0].reshape((4, 3)).tanh().sum(), _points(r, (3, 4))),
     "tanh": lambda r: (lambda p: p[0].tanh().sum(), _points(r, (3, 4))),
-    "exp": lambda r: (lambda p: p[0].exp().sum(), _points(r, (3, 4))),
-    "log": lambda r: (lambda p: p[0].log().sum(), _points(r, (3, 4), positive=True)),
     "sqrt": lambda r: (lambda p: p[0].sqrt().sum(), _points(r, (3, 4), positive=True)),
     "square": lambda r: (lambda p: p[0].square().sum(), _points(r, (3, 4))),
     "softmax": lambda r: (lambda p: (softmax(p[0], axis=-1, tau=1.7) * softmax(p[0], axis=-1, tau=1.7)).sum(), _points(r, (3, 4))),
     "sum_axis": lambda r: (lambda p: p[0].sum(axis=0).square().sum(), _points(r, (3, 4))),
     "mean_keepdims": lambda r: (lambda p: (p[0] - p[0].mean(axis=1, keepdims=True)).square().sum(), _points(r, (3, 4))),
-    "suffix_sum": lambda r: (lambda p: suffix_sum(p[0], TIED_KEYS).square().sum(), _points(r, (3, 5))),
-    "pairwise_dist": lambda r: (lambda p: (pairwise_dist(p[0]) * p[1]).sum(), _coincident_rows(r)),
+    "rank_contrast": lambda r: (lambda p: rank_contrast(p[0], TIED_KEYS, 1.3), _coincident_rows(r)),
 }
 
 

@@ -244,8 +244,9 @@ def test_train_step_short_final_batch(tiny_data):
 
 
 def test_default_config_step_graph_size(monkeypatch):
-    """One default-config step is one stacked forward: 213 graph nodes (two
-    separate flow graphs took 303). A change that splits the flows again fails here."""
+    """One default-config step is one stacked forward with RNC as one node:
+    204 graph nodes (two separate flow graphs took 303, a composed RNC 213).
+    A change that splits the flows again fails here."""
     model = ModelConfig()
     synth = SynthConfig(n_train=32, n_val=1, n_test=1)
     data = generate_dataset(synth)
@@ -259,7 +260,7 @@ def test_default_config_step_graph_size(monkeypatch):
     monkeypatch.setattr(training, "backward", counting)
     store = init_model(model, {m: synth.raw_dim(m) for m in MODALITIES}, seed=0)
     train_step(batch, store, model, AdamState(), LossWeights())
-    assert counted == [213]
+    assert counted == [204]
 
 
 # -- metrics -----------------------------------------------------------------------------------
