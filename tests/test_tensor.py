@@ -282,6 +282,10 @@ TIED_KEYS = np.array(
 )
 
 
+# distinct keys in every row, -inf on the diagonal: no tie groups
+DISTINCT_KEYS = np.where(np.eye(5, dtype=bool), -np.inf, (np.arange(5)[None, :] - np.arange(5)[:, None]) % 5)
+
+
 def _coincident_rows(rng):
     """Five points in 3-D whose rows 0 and 2 coincide."""
     a = rng.normal(size=(5, 3))
@@ -307,6 +311,10 @@ PRIMITIVE_CASES = {
     "softmax": lambda r: (lambda p: (softmax(p[0], axis=-1, tau=1.7) * softmax(p[0], axis=-1, tau=1.7)).sum(), _points(r, (3, 4))),
     "sum_axis": lambda r: (lambda p: p[0].sum(axis=0).square().sum(), _points(r, (3, 4))),
     "mean_keepdims": lambda r: (lambda p: (p[0] - p[0].mean(axis=1, keepdims=True)).square().sum(), _points(r, (3, 4))),
+    # rank_contrast's two stages one at a time, then together: the suffix sums
+    # over tie groups (generic rows), the distances at d = 0 (no ties), both
+    "suffix_sum": lambda r: (lambda p: rank_contrast(p[0], TIED_KEYS, 1.3), _points(r, (5, 3))),
+    "pairwise_dist": lambda r: (lambda p: rank_contrast(p[0], DISTINCT_KEYS, 1.3), _coincident_rows(r)),
     "rank_contrast": lambda r: (lambda p: rank_contrast(p[0], TIED_KEYS, 1.3), _coincident_rows(r)),
 }
 
