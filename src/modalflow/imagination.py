@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tensor import Tensor, concat
+from .tensor import Tensor, affine, concat
 
 
 @dataclass
@@ -44,6 +44,6 @@ def mia_forward(R_v, R_a, R_t_hat, params):
         )
     if R_t_hat.shape[-1] != params.dim:
         raise ValueError(f"mia: last dim {R_t_hat.shape[-1]} != parameter dim {params.dim}")
-    h = (concat([R_v, R_a, R_t_hat], axis=-1) @ params.W1 + params.b1).tanh()
-    residual = (h @ params.W2 + params.b2).tanh()
+    h = affine(concat([R_v, R_a, R_t_hat], axis=-1), params.W1, params.b1).tanh()
+    residual = affine(h, params.W2, params.b2).tanh()
     return R_t_hat + residual

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import GradMap, Tensor
+from .tensor import GradMap, Tensor, affine
 
 INIT_STD = 0.02
 
@@ -36,7 +36,7 @@ class ParamStore(dict):
 
 @dataclass
 class AffineLayer:
-    """x @ W + b on the last axis; W is [in, out], b is [out]."""
+    """One `tensor.affine` node: x @ W + b on the last axis; W is [in, out], b is [out]."""
 
     W: Tensor
     b: Tensor
@@ -54,7 +54,7 @@ class AffineLayer:
         return self.W.shape[1]
 
     def __call__(self, x):
-        return x @ self.W + self.b
+        return affine(x, self.W, self.b)
 
 
 def gaussian_leaf(rng, shape, std=INIT_STD):

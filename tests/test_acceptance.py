@@ -31,6 +31,7 @@ from modalflow.losses import mkd_loss, rnc_loss, rnc_oracle, rs_loss, task_loss
 from modalflow.nn import AffineLayer
 from modalflow.tensor import (
     Tensor,
+    affine,
     backward,
     concat,
     grad_check,
@@ -212,8 +213,9 @@ def _grad_cases(rng):
             "loss_mkd": lambda: (lambda p: mkd_loss(teacher, p[0]), [t((2, 3))]),
             "loss_rs": lambda: (lambda p: rs_loss(p[0], p[1]), [t((2, 3)), t((2, 3))]),
             "loss_rnc": lambda: (lambda p: rnc_loss(p[0], rnc_labels, 2.0), [t((8, 3))]),
-            # a 2-D right operand takes the folded-rows GEMM in matmul's backward
+            # a 2-D right operand broadcast over a 3-D left one, through matmul's general backward
             "matmul_3d_by_2d": lambda: (lambda p: (p[0] @ p[1]).square().sum(), [t((2, 3, 4)), t((4, 2))]),
+            "affine": lambda: (lambda p: affine(p[0], p[1], p[2]).square().sum(), [t((2, 3, 4)), t((4, 2)), t((2,))]),
         }
     )
     return cases

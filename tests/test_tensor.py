@@ -8,6 +8,7 @@ from modalflow.tensor import (
     DomainError,
     ShapeError,
     Tensor,
+    affine,
     ancestors,
     backward,
     concat,
@@ -175,6 +176,9 @@ def test_backward_rejects_detached_loss():
         lambda: rank_contrast(Tensor(np.ones((2, 3))), np.zeros((3, 2)), 1.0),
         lambda: rank_contrast(Tensor(np.ones(3)), np.zeros((3, 3)), 1.0),
         lambda: rank_contrast(Tensor(np.ones((1, 3))), np.zeros((1, 1)), 1.0),
+        lambda: affine(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), Tensor(np.ones(2))),
+        lambda: affine(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones((1, 2)))),
+        lambda: affine(Tensor(np.ones((2, 3))), Tensor(np.ones((1, 3, 2))), Tensor(np.ones(2))),
     ],
 )
 def test_shape_errors(build):
@@ -297,6 +301,9 @@ PRIMITIVE_CASES = {
     "matmul": lambda r: (lambda p: (p[0] @ p[1]).sum(), _points(r, (3, 4), (4, 2))),
     "matmul_batched": lambda r: (lambda p: (p[0] @ p[1]).sum(), _points(r, (2, 3, 4), (4, 2))),
     "matmul_3d_by_2d": lambda r: (lambda p: (p[0] @ p[1]).square().sum(), _points(r, (2, 3, 4), (4, 2))),
+    "affine_1d": lambda r: (lambda p: affine(p[0], p[1], p[2]).square().sum(), _points(r, (4,), (4, 2), (2,))),
+    "affine_2d": lambda r: (lambda p: affine(p[0], p[1], p[2]).square().sum(), _points(r, (3, 4), (4, 2), (2,))),
+    "affine_3d": lambda r: (lambda p: affine(p[0], p[1], p[2]).square().sum(), _points(r, (2, 3, 4), (4, 2), (2,))),
     "transpose": lambda r: (lambda p: (p[0].transpose() @ p[0]).sum(), _points(r, (3, 4))),
     "add": lambda r: (lambda p: (p[0] + p[1]).square().sum(), _points(r, (3, 4), (4,))),
     "sub": lambda r: (lambda p: (p[0] - p[1]).square().sum(), _points(r, (3, 4), (3, 4))),

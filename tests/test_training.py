@@ -34,6 +34,7 @@ from modalflow.training import (
     train_step,
     write_similarity_csv,
 )
+from test_tensor import PRIMITIVE_CASES
 
 MODEL = tiny_model_config()
 SYNTH = dict(
@@ -243,24 +244,47 @@ def test_train_step_short_final_batch(tiny_data):
     assert all(np.isfinite(report.as_row()))
 
 
-def test_default_config_step_graph_size(monkeypatch):
-    """One default-config step is one stacked forward with RNC as one node:
-    204 graph nodes (two separate flow graphs took 303, a composed RNC 213).
-    A change that splits the flows again fails here."""
+def _default_step_graph(monkeypatch):
+    """Every node of one default-config batch-32 step's loss graph, loss first."""
     model = ModelConfig()
     synth = SynthConfig(n_train=32, n_val=1, n_test=1)
     data = generate_dataset(synth)
     batch = first_batch(data["train"], 32)
-    counted = []
+    graphs = []
 
-    def counting(loss):
-        counted.append(len(ancestors(loss)) + 1)
+    def recording(loss):
+        graphs.append([loss] + ancestors(loss))
         return backward(loss)
 
-    monkeypatch.setattr(training, "backward", counting)
+    monkeypatch.setattr(training, "backward", recording)
     store = init_model(model, {m: synth.raw_dim(m) for m in MODALITIES}, seed=0)
     train_step(batch, store, model, AdamState(), LossWeights())
-    assert counted == [204]
+    assert len(graphs) == 1
+    return graphs[0]
+
+
+def test_default_config_step_graph_size(monkeypatch):
+    """One default-config step is one stacked forward with RNC as one node and
+    each affine layer as one node: 182 graph nodes (two separate flow graphs
+    took 303, a composed RNC 213, matmul+add layers 204). A change that splits
+    the flows again fails here."""
+    nodes = _default_step_graph(monkeypatch)
+    assert len(nodes) == 182
+    # every layer with a shared 2-D weight is an affine node; matmul is left to attention
+    assert not [n for n in nodes if n.op == "matmul" and n.parents[1].ndim == 2]
+
+
+def test_every_step_op_has_a_primitive_grad_case(monkeypatch):
+    """Each op in the default step graph also occurs in the graph of some
+    PRIMITIVE_CASES entry, so a new primitive or fused op cannot reach the
+    training step without a finite-difference check."""
+    step_ops = {n.op for n in _default_step_graph(monkeypatch) if n.op is not None}
+    checked = set()
+    for build in PRIMITIVE_CASES.values():
+        f, point = build(np.random.default_rng(0))
+        out = f([Tensor(p.values, requires_grad=True) for p in point])
+        checked |= {n.op for n in [out] + ancestors(out)}
+    assert step_ops - checked == set()
 
 
 # -- metrics -----------------------------------------------------------------------------------
