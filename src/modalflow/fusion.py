@@ -9,7 +9,13 @@ three results per row, the 7 rows are averaged into the final representation,
 and an affine head regresses the valence.
 
 All forward functions accept an optional leading batch axis: per-sample
-shapes are [q, D]/[S, D], batched shapes [B, q, D]/[B, S, D].
+shapes are [q, D]/[S, D], batched shapes [B, q, D]/[B, S, D]. In
+`umca_forward`, audio and vision may carry n batch rows against F·n text rows
+(F flows stacked on the batch axis that share one audio and vision input):
+their projection, stage-1 attention and stage-2 keys and values then run once
+over n rows. The stage-1 outputs are repeated F times where they meet text;
+stage 2 views its F·n query rows as [F, n, 7, D], so that the shared keys and
+values broadcast over the flow axis.
 """
 
 from __future__ import annotations
@@ -135,12 +141,22 @@ def project_modality(raw, m, umca):
 
 
 def cross_attend(Q, E, maps, tau):
-    """R = softmax(Q K^T / tau) V with K = tanh(affine(V)), V = affine(E)."""
+    """R = softmax(Q K^T / tau) V with K = tanh(affine(V)), V = affine(E).
+
+    K and V are computed over E's rows. A batched Q may carry F times E's
+    batch rows (F flows sharing E); it is then viewed as [F, n, q, D], so that
+    K and V broadcast over the flow axis, and R comes back as [F·n, q, D].
+    """
     V = maps.value(E)
     K = maps.key(V).tanh()
+    rows = Q.shape[0]
+    shared = Q.ndim == E.ndim == 3 and rows != E.shape[0]
+    if shared:
+        Q = Q.reshape((rows // E.shape[0], E.shape[0]) + Q.shape[1:])
     scores = Q @ K.transpose()
     attn = softmax(scores, axis=-1, tau=tau)
-    return attn @ V
+    R = attn @ V
+    return R.reshape((rows,) + R.shape[2:]) if shared else R
 
 
 def afg_weights(R_a, R_v, R_t, afg):
@@ -184,7 +200,8 @@ def stage2_fuse(q_multv, E, umca, mia=None, gate_from=0):
     """Second attention stage plus pooling into the final representation r.
 
     With `mia` (the stage-2 MIA parameters) the text rows [gate_from:] are
-    rewritten by imagination before pooling.
+    rewritten by imagination before pooling. Audio and vision may carry 1/F
+    of q_multv's batch rows (see `umca_forward`).
     """
     R_seq = {m: cross_attend(q_multv, E[m], umca.stage2[m], umca.tau) for m in MODALITIES}
     if mia is not None:
@@ -215,10 +232,15 @@ def umca_forward(E, umca, mia=None, gate_from=0):
     untouched; with the gate on, both text representations are rewritten from
     audio+vision context before fusion. `gate_from` restricts the gate to the
     batch rows [gate_from:], so one call can run both flows stacked on the
-    batch axis (complete rows first); 0 gates every row.
+    batch axis (complete rows first); 0 gates every row. Those flows share
+    one audio and vision input: E["a"] and E["v"] may carry n batch rows
+    against E["t"]'s F·n, and F is read from those row counts.
     """
     mia1, mia2 = mia if mia is not None else (None, None)
+    flows = E["t"].shape[0] // E["a"].shape[0] if E["t"].ndim == 3 else 1
     R = {m: cross_attend(umca.query[m], E[m], umca.stage1[m], umca.tau) for m in MODALITIES}
+    if flows > 1:  # the stage-1 audio/vision outputs meet text from here on
+        R["a"], R["v"] = (concat([R[m]] * flows, axis=0) for m in ("a", "v"))
     if mia1 is not None:
         R["t"] = _imagine(R["v"], R["a"], R["t"], mia1, gate_from)
     w1 = afg_weights(R["a"], R["v"], R["t"], umca.afg1)

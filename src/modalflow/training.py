@@ -2,11 +2,13 @@
 
 Each training step runs two flows of the shared-parameter network: the
 complete flow sees real text with imagination off; the missing flow sees the
-simulated text with imagination on. Both run as one forward over 2n rows
-(complete rows first, then missing rows), and each half gives the same values
-as its flow run alone. The complete rows' text representations act as
-detached distillation targets for the missing rows. Early stopping monitors
-the complete-mode validation MAE and the best-MAE parameters are returned.
+simulated text with imagination on. Both run as one forward: text over 2n
+rows (complete rows first, then missing rows), audio and vision over n rows
+shared by both flows. Each flow's half gives the same values as that flow run
+alone, and validation runs both inference modes stacked in the same way. The
+complete rows' text representations act as detached distillation targets for
+the missing rows. Early stopping monitors the complete-mode validation MAE and
+the best-MAE parameters are returned.
 
 The model's input sizes are not configured: `fit` reads each modality's raw
 feature size from the train split. Checkpoints are stored with the dataset
@@ -92,8 +94,9 @@ MODES = ("complete", "missing")
 
 
 def _flow(batch, umca, mia, modes, ablation):
-    """One forward pass over the given modes stacked on the batch axis, in
-    MODES order; the only place the two modes differ.
+    """One forward pass over the given modes' text stacked on the batch axis,
+    in MODES order, against one shared audio and vision input; the only place
+    the two modes differ.
 
     complete: real text, imagination off. missing: simulated text (zeros when
     use_sim_text is off), imagination gated by `mia` unless use_mia is off.
@@ -108,18 +111,17 @@ def _flow(batch, umca, mia, modes, ablation):
     gate = mia if "missing" in modes and ablation.use_mia else None
     gate_from = batch.n * modes.index("missing") if gate is not None else 0
 
-    def stack(arrays):
-        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-    raws = {"a": stack([batch.audio] * len(modes)), "v": stack([batch.vision] * len(modes)), "t": stack(texts)}
+    # audio and vision are the same in every mode: umca_forward shares their n rows
+    raws = {"a": batch.audio, "v": batch.vision, "t": texts[0] if len(texts) == 1 else np.concatenate(texts)}
     E = {m: project_modality(Tensor(raws[m]), m, umca) for m in MODALITIES}
     return umca_forward(E, umca, gate, gate_from=gate_from)
 
 
 def run_double_flow(batch, params, model_config, ablation=None):
-    """Both flows as one forward over 2n rows of one shared parameter mapping:
-    rows [:n] are the complete flow (real text, imagination off), rows [n:]
-    the missing flow (simulated text, imagination on unless ablated)."""
+    """Both flows as one forward of one shared parameter mapping, with outputs
+    over 2n rows: rows [:n] are the complete flow (real text, imagination off),
+    rows [n:] the missing flow (simulated text, imagination on unless
+    ablated). Audio and vision run once, over n rows."""
     ablation = ablation or AblationSpec()
     umca, mia1, mia2 = param_views(params, model_config)
     return _flow(batch, umca, (mia1, mia2), MODES, ablation)
@@ -160,21 +162,24 @@ def train_step(batch, store, model_config, optimizer, weights, ablation=None):
 # -- evaluation ---------------------------------------------------------------------
 
 
-def _predict(dataset, params_values, model_config, mode, ablation, batch_size=256):
-    """Predictions and final representations for one mode, gradient-free."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r} (split '{dataset.split}')")
+def _predict(dataset, params_values, model_config, modes, ablation, batch_size=256):
+    """Predictions [F, n] and final representations [F, n, D] for the F modes
+    in `modes` (MODES order), gradient-free. Each forward stacks all F modes
+    over batch_size // F samples, so it holds batch_size text rows whatever F
+    is (more rows per forward measured slower: the arrays outgrow the cache)."""
+    if not modes or tuple(m for m in MODES if m in modes) != tuple(modes):
+        raise ValueError(f"each mode must be one of {MODES}, in that order, got {modes!r} (split '{dataset.split}')")
     if dataset.n < 1:
         raise ValueError(f"split '{dataset.split}' has no samples to predict")
     umca, mia1, mia2 = param_views({name: Tensor(arr) for name, arr in params_values.items()}, model_config)
     mia = (mia1, mia2)
     preds = []
     reps = []
-    for batch in batch_iter(dataset, batch_size):
-        out = _flow(batch, umca, mia, (mode,), ablation)
-        preds.append(out.y_hat.values)
-        reps.append(out.r.values)
-    return np.concatenate(preds), np.concatenate(reps)
+    for batch in batch_iter(dataset, batch_size // len(modes)):
+        out = _flow(batch, umca, mia, modes, ablation)
+        preds.append(out.y_hat.values.reshape(len(modes), batch.n))
+        reps.append(out.r.values.reshape(len(modes), batch.n, -1))
+    return np.concatenate(preds, axis=1), np.concatenate(reps, axis=1)
 
 
 def compute_metrics(labels, preds, acc_rule="sign"):
@@ -195,7 +200,7 @@ def compute_metrics(labels, preds, acc_rule="sign"):
 def evaluate(dataset, checkpoint, mode):
     """(MAE, ACC) of a checkpoint on one dataset in one inference mode, with
     the checkpoint's accuracy rule."""
-    preds, _ = _predict(dataset, checkpoint.params, checkpoint.model_config, mode, checkpoint.ablation)
+    (preds,), _ = _predict(dataset, checkpoint.params, checkpoint.model_config, (mode,), checkpoint.ablation)
     if mode == "missing" and not (checkpoint.ablation.use_mia or checkpoint.ablation.use_mkd):
         warnings.warn(
             "checkpoint was trained without imagination or distillation; "
@@ -219,8 +224,7 @@ def similarity_matrix(checkpoint, dataset):
     """
     if dataset.n < 2:
         raise ValueError("similarity_matrix: need at least 2 samples")
-    _, reps_c = _predict(dataset, checkpoint.params, checkpoint.model_config, "complete", checkpoint.ablation)
-    _, reps_m = _predict(dataset, checkpoint.params, checkpoint.model_config, "missing", checkpoint.ablation)
+    _, (reps_c, reps_m) = _predict(dataset, checkpoint.params, checkpoint.model_config, MODES, checkpoint.ablation)
     order = np.argsort(dataset.labels, kind="stable")
     rc = reps_c[order]
     rm = reps_m[order]
@@ -274,8 +278,7 @@ def fit(datasets, model_config, train_config, ablation=None, out_dir=None):
         means = sums / n_batches
 
         current = {name: t.values for name, t in store.items()}
-        preds_c, _ = _predict(val, current, model_config, "complete", ablation)
-        preds_m, _ = _predict(val, current, model_config, "missing", ablation)
+        (preds_c, preds_m), _ = _predict(val, current, model_config, MODES, ablation)
         val_mae_c = compute_metrics(val.labels, preds_c)[0]
         val_mae_m = compute_metrics(val.labels, preds_m)[0]
         history.append(
@@ -426,6 +429,8 @@ def run_ablation(datasets, model_config, train_config, specs=DEFAULT_ABLATION_GR
     """
     if n_seeds < 1:
         raise ValueError("run_ablation: n_seeds must be >= 1")
+    if jobs < 1:
+        raise ValueError(f"run_ablation: jobs must be >= 1, got {jobs}")
     out_dir = Path(out_dir) if out_dir is not None else None
     runs_fh = None
     runs_writer = None

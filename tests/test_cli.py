@@ -87,6 +87,18 @@ def test_ablate_writes_summary(workdir):
     assert (out / "config.json").exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_ablate_rejects_jobs_below_one(workdir, capsys, jobs):
+    out = workdir["root"] / f"ablation-jobs{jobs}"
+    code = main([
+        "ablate", "--config", str(workdir["config"]), "--data", str(workdir["data"]),
+        "--out", str(out), "--seeds", "1", "--jobs", jobs,
+    ])
+    assert code == 1
+    assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_set_override_changes_run(workdir, tmp_path, capsys):
     out = tmp_path / "run2"
     code = main([

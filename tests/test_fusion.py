@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from modalflow.fusion import (
     MODALITIES,
     SUBSETS,
     AttentionMaps,
+    FlowOutputs,
     ModelConfig,
     afg_weights,
     cross_attend,
@@ -314,6 +317,39 @@ def test_umca_gate_changes_text_representation_only_through_mia(rng):
     assert not np.array_equal(gated.stage1["t"].values, plain.stage1["t"].values)
     assert np.array_equal(gated.stage1["a"].values, plain.stage1["a"].values)
     assert np.array_equal(gated.stage1["v"].values, plain.stage1["v"].values)
+
+
+def test_shared_audio_vision_rows_match_the_duplicated_layout(rng):
+    """Audio and vision over n rows against text over 2n rows (two flows
+    sharing them) give bit-identical outputs to the same audio and vision
+    duplicated to 2n rows, and the same parameter gradients up to the order
+    in which the two flows' shares are summed."""
+    cfg = tiny_model_config()
+    store = init_model(cfg, TINY_RAW_DIMS, seed=2)
+    for t in store.values():
+        t.values *= 30.0  # at init scale some gradients are all cancellation noise
+    umca, mia1, mia2 = param_views(store, cfg)
+    n = 5
+    raws = {m: rng.normal(size=(n, 3, TINY_RAW_DIMS[m])) for m in ("a", "v")}
+    raws["t"] = rng.normal(size=(2 * n, 3, TINY_RAW_DIMS["t"]))
+    layouts = {
+        "shared": raws,
+        "duplicated": {m: raws[m] if m == "t" else np.concatenate([raws[m]] * 2) for m in MODALITIES},
+    }
+    outs, grads = {}, {}
+    for name, layout in layouts.items():
+        E = {m: project_modality(Tensor(layout[m]), m, umca) for m in MODALITIES}
+        out = umca_forward(E, umca, mia=(mia1, mia2), gate_from=n)
+        g = backward(out.y_hat.square().sum() + out.seq["t"].square().sum())
+        outs[name], grads[name] = out, {p: g.get(t) for p, t in store.items()}
+
+    for f in fields(FlowOutputs):
+        shared, duplicated = getattr(outs["shared"], f.name), getattr(outs["duplicated"], f.name)
+        pairs = [(shared[m], duplicated[m]) for m in MODALITIES] if isinstance(shared, dict) else [(shared, duplicated)]
+        assert all(np.array_equal(x.values, y.values) for x, y in pairs), f.name
+    for p in store:  # relative to each parameter's largest gradient entry
+        g, ref = grads["shared"][p], grads["duplicated"][p]
+        assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref)), p
 
 
 def test_umca_gradient_check_end_to_end(rng):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import modalflow.fusion as fusion
 import modalflow.training as training
 from builders import TINY_RAW_DIMS, tiny_model_config
 from modalflow.data import SynthConfig, batch_iter, generate_dataset
@@ -154,10 +155,38 @@ def test_inference_feeds_the_training_flows(tiny_data, spec):
     reps = dict(zip(MODES, halves(flow.r.values, 16)))
     values = {name: t.values for name, t in store.items()}
     for mode in MODES:
-        y_hat, r = _predict(val, values, MODEL, mode, spec, batch_size=16)
+        (y_hat,), (r,) = _predict(val, values, MODEL, (mode,), spec, batch_size=16)
         assert np.array_equal(y_hat[:16], y_hats[mode]), mode
         assert np.array_equal(r[:16], reps[mode]), mode
     assert not np.array_equal(y_hats["complete"], y_hats["missing"])
+
+
+def test_audio_and_vision_run_once_per_step(monkeypatch):
+    """A default-config step projects audio and vision, and computes their
+    stage-1 and stage-2 keys and values, over the batch's n rows shared by
+    both flows; text runs over 2n rows."""
+    model = ModelConfig()
+    synth = SynthConfig(n_train=32, n_val=1, n_test=1)
+    batch = first_batch(generate_dataset(synth)["train"], 32)
+    store = init_model(model, {m: synth.raw_dim(m) for m in MODALITIES}, seed=0)
+    stage_of = {id(store[f"{s}.{m}.key.W"]): (s, m) for s in ("s1", "s2") for m in MODALITIES}
+    projected, attended = {}, {}
+    real_project, real_attend = training.project_modality, fusion.cross_attend
+
+    def project(raw, m, umca):
+        projected[m] = raw.shape[0]
+        return real_project(raw, m, umca)
+
+    def attend(Q, E, maps, *args):
+        attended[stage_of[id(maps.key.W)]] = E.shape[0]
+        return real_attend(Q, E, maps, *args)
+
+    monkeypatch.setattr(training, "project_modality", project)
+    monkeypatch.setattr(fusion, "cross_attend", attend)
+    train_step(batch, store, model, AdamState(), LossWeights())
+    rows = {"a": batch.n, "v": batch.n, "t": 2 * batch.n}
+    assert projected == rows
+    assert attended == {(s, m): rows[m] for s in ("s1", "s2") for m in MODALITIES}
 
 
 def test_distillation_detach_contract(tiny_data):
@@ -234,9 +263,9 @@ def test_train_step_short_final_batch(tiny_data):
     assert batch.n == 12
     store = init_model(MODEL, TINY_RAW_DIMS, seed=0)
     values = {name: t.values for name, t in store.items()}
-    preds = {mode: _predict(train, values, MODEL, mode, AblationSpec(), batch_size=16) for mode in MODES}
+    y, r = _predict(train, values, MODEL, MODES, AblationSpec(), batch_size=16)
     report = train_step(batch, store, MODEL, AdamState(), LossWeights())
-    (y_c, r_c), (y_m, r_m) = ((y[-12:], r[-12:]) for y, r in preds.values())
+    (y_c, y_m), (r_c, r_m) = y[:, -12:], r[:, -12:]
     task = np.mean(np.concatenate([(batch.labels - y_c) ** 2, (batch.labels - y_m) ** 2]))
     rs = np.sqrt(np.mean((r_c - r_m) ** 2))
     assert report.task == pytest.approx(task, rel=1e-12, abs=0)
@@ -265,11 +294,16 @@ def _default_step_graph(monkeypatch):
 
 def test_default_config_step_graph_size(monkeypatch):
     """One default-config step is one stacked forward with RNC as one node and
-    each affine layer as one node: 182 graph nodes (two separate flow graphs
-    took 303, a composed RNC 213, matmul+add layers 204). A change that splits
-    the flows again fails here."""
+    each affine layer as one node: 188 graph nodes (two separate flow graphs
+    took 303, a composed RNC 213, matmul+add layers 204, audio and vision
+    duplicated to 2n rows 182). Audio and vision now run over n rows shared
+    by both flows, which adds 6 nodes: 2 `concat`s repeat their stage-1
+    outputs for the two flows, and per modality 2 `reshape`s view the stage-2
+    queries as [2, n, 7, D] and the results back as [2n, 7, D], so the n-row
+    keys and values broadcast over the flow axis. A change that splits the
+    flows again fails here."""
     nodes = _default_step_graph(monkeypatch)
-    assert len(nodes) == 182
+    assert len(nodes) == 188
     # every layer with a shared 2-D weight is an affine node; matmul is left to attention
     assert not [n for n in nodes if n.op == "matmul" and n.parents[1].ndim == 2]
 
@@ -365,6 +399,27 @@ def test_fit_checkpoint_is_best_epoch(fitted):
     maes = [row["val_mae_complete"] for row in history]
     assert checkpoint.best_val_mae == min(maes)
     assert checkpoint.epoch == int(np.argmin(maes)) + 1
+
+
+def test_stacked_validation_matches_evaluate(tiny_data, tiny_train_config, monkeypatch):
+    """fit validates both modes in one stacked _predict call per epoch, and
+    its MAEs equal single-mode evaluate bitwise, on a 300-sample val split
+    that fit cuts into 128 + 128 + 44 samples and evaluate into 256 + 44."""
+    data = {**tiny_data, "val": generate_dataset(SynthConfig(**{**SYNTH, "n_val": 300}))["val"]}
+    calls = []
+    real_predict = training._predict
+
+    def predict(dataset, values, model_config, modes, *args, **kwargs):
+        calls.append(modes)
+        return real_predict(dataset, values, model_config, modes, *args, **kwargs)
+
+    monkeypatch.setattr(training, "_predict", predict)
+    checkpoint, history = fit(data, MODEL, tiny_train_config)
+    assert calls == [MODES] * len(history)
+    monkeypatch.undo()
+    val = data["val"]
+    assert checkpoint.best_val_mae == evaluate(val, checkpoint, "complete")[0]
+    assert history[checkpoint.epoch - 1]["val_mae_missing"] == evaluate(val, checkpoint, "missing")[0]
 
 
 def test_fit_patience_zero_stops_after_one_epoch(tiny_data):
