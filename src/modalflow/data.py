@@ -234,7 +234,8 @@ def save_dataset(datasets, path):
 def load_dataset(path, split=None):
     """Load a directory written by save_dataset; validates shapes and byte counts.
 
-    Returns the dict of splits, or a single Dataset when `split` is given.
+    Returns the dict of splits, or a single Dataset when `split` is given; then
+    only that split's tensor files are read and checked.
     """
     path = Path(path)
     manifest_path = path / "manifest.json"
@@ -246,19 +247,21 @@ def load_dataset(path, split=None):
     check_dtype(manifest, manifest_path)
     config = SynthConfig(**manifest["config"])
 
-    out = {}
-    for split_name, entry in manifest["splits"].items():
-        arrays = {}
-        for name in TENSOR_FIELDS:
-            if name not in entry["tensors"]:
-                raise DatasetError(f"load: split '{split_name}' missing tensor '{name}'")
-            arrays[name] = read_tensor(path, entry["tensors"][name], f"{split_name}/{name}")
-        out[split_name] = Dataset(split=split_name, config=config, **arrays)
+    splits = manifest["splits"]
     if split is not None:
-        if split not in out:
-            raise DatasetError(f"load: split '{split}' not present (has {sorted(out)})")
-        return out[split]
-    return out
+        if split not in splits:
+            raise DatasetError(f"load: split '{split}' not present (has {sorted(splits)})")
+        return _load_split(path, config, split, splits[split])
+    return {name: _load_split(path, config, name, entry) for name, entry in splits.items()}
+
+
+def _load_split(path, config, split, entry):
+    arrays = {}
+    for name in TENSOR_FIELDS:
+        if name not in entry["tensors"]:
+            raise DatasetError(f"load: split '{split}' missing tensor '{name}'")
+        arrays[name] = read_tensor(path, entry["tensors"][name], f"{split}/{name}")
+    return Dataset(split=split, config=config, **arrays)
 
 
 # -- batching ---------------------------------------------------------------------

@@ -9,8 +9,9 @@
   flows, ordering representation distances by label distances. It is one
   graph node, `tensor.rank_contrast`, with the label distances as sort keys:
   each anchor's candidates are sorted once, so the denominators are suffix
-  sums and the loss costs O(N^2 log N); the oracle builds every candidate set
-  explicitly, in O(N^3).
+  sums and the loss costs O(N^2 log N) time and O(N^2) memory plus one block
+  of pairwise differences; the oracle builds every candidate set explicitly,
+  in O(N^3).
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ def rnc_loss(reps, labels, tau_rnc):
     and reads every denominator as a suffix sum over that order (ties read
     from the first index of their group). The diagonal key is -inf, so the
     anchor enters no denominator. The loss costs O(n^2 log n + n^2 D) time and
-    O(n^2 D) memory, no O(n^3) array. Representations more than ~745 * tau
+    O(n^2) memory plus the differences of one fixed-size block of anchor
+    rows: no [n, n, D] or O(n^3) array. Representations more than ~745 * tau
     apart make exp(-d/tau) underflow, and `tensor.DomainError` is raised.
     """
     reps = reps if isinstance(reps, Tensor) else Tensor(reps)

@@ -361,6 +361,9 @@ def softmax(a, axis=-1, tau=1.0):
     return _result("softmax", y, (a,), bwd)
 
 
+_RNC_BLOCK = 8  # anchor rows per block of rank_contrast's pairwise differences
+
+
 def rank_contrast(a, keys, tau):
     """Rank-N-Contrast loss (Zha et al., 2023) over the n rows of a [n, D].
 
@@ -371,11 +374,14 @@ def rank_contrast(a, keys, tau):
     every denominator.
 
     Each row of keys is sorted once and the denominators are reverse cumulative
-    sums over that order: O(n^2 (D + log n)) time, O(n^2 D) memory. Tied keys
-    share one tie group, and every member reads the sum from the group's first
-    sorted index. Distances come from direct differences, so close rows stay
-    accurate at any norm; where a distance is 0 (the diagonal, coincident rows)
-    the gradient uses subgradient 0, as ``sqrt`` does.
+    sums over that order: O(n^2 (D + log n)) time, O(n^2) memory plus one
+    [_RNC_BLOCK, n, D] block. Tied keys share one tie group, and every member
+    reads the sum from the group's first sorted index. Distances come from
+    direct differences, so close rows stay accurate at any norm; they are
+    computed over blocks of anchor rows on the upper triangle and mirrored,
+    which is exact since a_i - a_j is -(a_j - a_i). Where a distance is 0 (the
+    diagonal, coincident rows) the gradient uses subgradient 0, as ``sqrt``
+    does.
     """
     a = _lift(a)
     keys = np.asarray(keys, dtype=np.float64)
@@ -388,30 +394,35 @@ def rank_contrast(a, keys, tau):
         raise DomainError(f"rank_contrast: temperature must be positive, got {tau}")
     n = a.shape[0]
     av = a.values
-    diff = av[:, None, :] - av[None, :, :]
-    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    # one block of anchor rows at a time, upper triangle only, mirrored below
+    d = np.empty((n, n))
+    for i in range(0, n, _RNC_BLOCK):
+        rows = slice(i, i + _RNC_BLOCK)
+        diff = av[rows, None, :] - av[None, i:, :]
+        d[rows, i:] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        d[i:, rows] = d[rows, i:].T
     e = np.exp(d * (-1.0 / tau))
     if not e.all():
         raise DomainError(f"rank_contrast: exp(-d/tau) underflows to 0 at distance {d.max():.6g} > ~745 * tau ({tau})")
 
-    # tie groups are contiguous in any sorted order, so the sort need not be stable
-    order = np.argsort(keys, axis=1)
-    sorted_keys = np.take_along_axis(keys, order, axis=1)
-    pos = np.broadcast_to(np.arange(n), keys.shape)
+    # flat index of each sorted position, [i, p] -> i * n + (index of the p-th
+    # smallest key of row i); tie groups are contiguous in any sorted order, so
+    # the sort need not be stable
+    flat = np.argsort(keys, axis=1) + np.arange(0, n * n, n)[:, None]
+    sorted_keys = np.take(keys, flat)
     starts = np.ones(keys.shape, dtype=bool)
     starts[:, 1:] = sorted_keys[:, 1:] != sorted_keys[:, :-1]
     ends = np.ones(keys.shape, dtype=bool)
     ends[:, :-1] = starts[:, 1:]
-    # first / last sorted index of each position's tie group
-    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=1)
-    last = np.minimum.accumulate(np.where(ends, pos, n)[:, ::-1], axis=1)[:, ::-1]
+    # every row starts a group, so one count over all n * n sorted positions
+    # numbers the groups; `group` holds each entry's number at its unsorted index
+    group = np.empty(n * n, dtype=np.intp)
+    group[flat.ravel()] = np.cumsum(starts) - 1
+    # flat sorted position of the first / last member of each entry's tie group
+    first_at = np.flatnonzero(starts)[group].reshape(n, n)
+    last_at = np.flatnonzero(ends)[group].reshape(n, n)
 
-    def unsort(v, group_index):
-        out = np.empty_like(v)
-        np.put_along_axis(out, order, np.take_along_axis(v, group_index, axis=1), axis=1)
-        return out
-
-    denom = unsort(np.cumsum(np.take_along_axis(e, order, axis=1)[:, ::-1], axis=1)[:, ::-1], first)
+    denom = np.take(np.cumsum(np.take(e, flat[:, ::-1]), axis=1)[:, ::-1], first_at)
     ratio = e / denom
     off_diag = 1.0 - np.eye(n)
     mean = -1.0 / (n * (n - 1))
@@ -421,7 +432,7 @@ def rank_contrast(a, keys, tau):
         g_denom = -g_log * e / (denom * denom)
         # e_ik at sorted index q enters every denominator whose tie group starts
         # at or before q: all positions up to the end of q's own group
-        g_e = g_log / denom + unsort(np.cumsum(np.take_along_axis(g_denom, order, axis=1), axis=1), last)
+        g_e = g_log / denom + np.take(np.cumsum(np.take(g_denom, flat), axis=1), last_at)
         w = np.divide(g_e * e * (-1.0 / tau), d, out=np.zeros_like(d), where=d > 0)
         w = w + w.T
         return (w.sum(axis=1)[:, None] * av - w @ av,)

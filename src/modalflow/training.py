@@ -217,6 +217,9 @@ def performance_gap(metrics_complete, metrics_missing):
     return abs(mae_m - mae_c), abs(acc_c - acc_m)
 
 
+_SIM_BLOCK = 8  # rows of similarity_matrix per block of differences
+
+
 def similarity_matrix(checkpoint, dataset):
     """Cross-flow L2 distances sorted by label: entry (i, j) = ||r_i^c - r_j^m||.
 
@@ -228,8 +231,12 @@ def similarity_matrix(checkpoint, dataset):
     order = np.argsort(dataset.labels, kind="stable")
     rc = reps_c[order]
     rm = reps_m[order]
-    diff = rc[:, None, :] - rm[None, :, :]
-    matrix = np.sqrt(np.sum(diff * diff, axis=-1))
+    # a block of rows at a time: the same per-entry sums as one [n, n, D] difference
+    matrix = np.empty((len(rc), len(rm)))
+    for i in range(0, len(rc), _SIM_BLOCK):
+        diff = rc[i : i + _SIM_BLOCK, None, :] - rm[None, :, :]
+        diff *= diff
+        matrix[i : i + _SIM_BLOCK] = np.sqrt(np.sum(diff, axis=-1))
     return matrix, dataset.labels[order]
 
 

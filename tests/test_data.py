@@ -179,6 +179,18 @@ def test_load_single_split(small_data, tmp_path):
         load_dataset(tmp_path / "ds", split="nope")
 
 
+def test_load_single_split_reads_only_that_split(small_data, tmp_path):
+    save_dataset(small_data, tmp_path / "ds")
+    f = tmp_path / "ds" / "train_labels.bin"
+    f.write_bytes(f.read_bytes()[:-8])
+    assert load_dataset(tmp_path / "ds", split="test").equal(small_data["test"])
+    with pytest.raises(DatasetError, match="train/labels"):
+        load_dataset(tmp_path / "ds")
+    # the requested split keeps every check
+    with pytest.raises(DatasetError, match="train/labels"):
+        load_dataset(tmp_path / "ds", split="train")
+
+
 def test_load_missing_manifest(tmp_path):
     with pytest.raises(DatasetError, match="manifest"):
         load_dataset(tmp_path)

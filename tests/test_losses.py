@@ -135,7 +135,7 @@ def test_rnc_with_label_ties(rng):
 def test_rnc_matches_oracle_with_large_tie_groups(rng):
     # labels on a 3-value grid put many samples at one label distance; all-equal
     # labels make every candidate set the whole batch minus the anchor
-    for n in (2, 3, 5, 8, 16):
+    for n in (2, 3, 5, 8, 16, 32):
         grid = rng.choice([-1.5, 0.0, 2.0], n)
         for labels in (np.concatenate([grid] * 2), np.full(2 * n, 0.7)):
             reps = rng.normal(size=(2 * n, 3))

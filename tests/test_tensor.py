@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from modalflow.tensor import (
+    _RNC_BLOCK,
     DomainError,
     ShapeError,
     Tensor,
@@ -196,17 +199,42 @@ def test_softmax_rejects_non_positive_temperature():
         softmax(Tensor(np.ones((1, 2))), tau=0.0)
 
 
-def test_rank_contrast_matches_masked_loop(rng):
-    a = _coincident_rows(rng)[0].values
+def _masked_loop_loss(a, keys, tau):
     n = len(a)
-    e = np.exp(-np.linalg.norm(a[:, None, :] - a[None, :, :], axis=-1) / 1.3)
-    want = 0.0
-    for i, row in enumerate(TIED_KEYS):
+    e = np.exp(-np.linalg.norm(a[:, None, :] - a[None, :, :], axis=-1) / tau)
+    total = 0.0
+    for i, row in enumerate(keys):
         for j, key in enumerate(row):
             if j != i:
-                want += np.log(e[i, j] / e[i][row >= key].sum())
-    want *= -1.0 / (n * (n - 1))
+                total += np.log(e[i, j] / e[i][row >= key].sum())
+    return total * (-1.0 / (n * (n - 1)))
+
+
+def test_rank_contrast_matches_masked_loop(rng):
+    a = _coincident_rows(rng)[0].values
+    want = _masked_loop_loss(a, TIED_KEYS, 1.3)
     assert abs(rank_contrast(Tensor(a), TIED_KEYS, 1.3).item() - want) < 1e-12
+
+
+def test_rank_contrast_matches_masked_loop_across_blocks(rng):
+    a, keys = _multi_block_case(rng)
+    want = _masked_loop_loss(a.values, keys, 1.3)
+    assert abs(rank_contrast(a, keys, 1.3).item() - want) < 1e-12
+
+
+def test_rank_contrast_memory_below_one_difference_array(rng):
+    n, dim = 256, 256
+    a = Tensor(rng.normal(size=(n, dim)), requires_grad=True)
+    labels = rng.uniform(-3, 3, n)
+    keys = np.abs(labels[:, None] - labels[None, :])
+    np.fill_diagonal(keys, -np.inf)
+    tracemalloc.start()
+    try:
+        backward(rank_contrast(a, keys, 2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * dim * 8 / 8, f"forward+backward peaked at {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize(
@@ -297,6 +325,27 @@ def _coincident_rows(rng):
     return [Tensor(a)]
 
 
+def _multi_block_case(rng):
+    """19 points in 3-D and tied keys: rank_contrast's distance loop takes them
+    in blocks of _RNC_BLOCK rows, three here with a ragged last one. Rows 1 and
+    17, and rows 3 and 9, coincide across blocks; the keys are label distances
+    on a 3-value grid with the -inf anchor diagonal."""
+    n = 19
+    assert n > 2 * _RNC_BLOCK and n % _RNC_BLOCK
+    a = rng.normal(size=(n, 3))
+    a[17] = a[1]
+    a[9] = a[3]
+    labels = rng.choice([-1.0, 0.0, 1.5], n)
+    keys = np.abs(labels[:, None] - labels[None, :])
+    np.fill_diagonal(keys, -np.inf)
+    return Tensor(a), keys
+
+
+def _rank_contrast_across_blocks(rng):
+    a, keys = _multi_block_case(rng)
+    return (lambda p: rank_contrast(p[0], keys, 1.3)), [a]
+
+
 PRIMITIVE_CASES = {
     "matmul": lambda r: (lambda p: (p[0] @ p[1]).sum(), _points(r, (3, 4), (4, 2))),
     "matmul_batched": lambda r: (lambda p: (p[0] @ p[1]).sum(), _points(r, (2, 3, 4), (4, 2))),
@@ -323,6 +372,7 @@ PRIMITIVE_CASES = {
     "suffix_sum": lambda r: (lambda p: rank_contrast(p[0], TIED_KEYS, 1.3), _points(r, (5, 3))),
     "pairwise_dist": lambda r: (lambda p: rank_contrast(p[0], DISTINCT_KEYS, 1.3), _coincident_rows(r)),
     "rank_contrast": lambda r: (lambda p: rank_contrast(p[0], TIED_KEYS, 1.3), _coincident_rows(r)),
+    "rank_contrast_blocks": _rank_contrast_across_blocks,
 }
 
 

@@ -1,6 +1,8 @@
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -485,6 +487,33 @@ def test_similarity_matrix_properties(tiny_data, fitted):
     assert matrix.shape == (n, n)
     assert np.all(matrix >= 0.0)
     assert np.array_equal(labels, np.sort(tiny_data["test"].labels))
+
+
+def test_similarity_matrix_equals_direct_formula_bitwise(tiny_data, fitted):
+    checkpoint, _ = fitted
+    test = tiny_data["test"]
+    assert test.n > training._SIM_BLOCK and test.n % training._SIM_BLOCK  # a ragged last block
+    _, (reps_c, reps_m) = _predict(test, checkpoint.params, checkpoint.model_config, MODES, checkpoint.ablation)
+    order = np.argsort(test.labels, kind="stable")
+    diff = reps_c[order][:, None, :] - reps_m[order][None, :, :]
+    matrix, _ = similarity_matrix(checkpoint, test)
+    assert np.array_equal(matrix, np.sqrt(np.sum(diff * diff, axis=-1)))
+
+
+def test_similarity_matrix_memory_below_one_difference_array(fitted, monkeypatch):
+    checkpoint, _ = fitted
+    n, dim = 256, 256
+    rng = np.random.default_rng(0)
+    reps = rng.normal(size=(2, n, dim))
+    dataset = SimpleNamespace(n=n, labels=rng.uniform(-3, 3, n))
+    monkeypatch.setattr(training, "_predict", lambda *args: (None, reps))
+    tracemalloc.start()
+    try:
+        similarity_matrix(checkpoint, dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * dim * 8 / 8, f"similarity_matrix peaked at {peak / 1e6:.1f} MB"
 
 
 def test_similarity_matrix_diagonal_zero_for_identical_flows():
