@@ -14,8 +14,8 @@ shapes are [q, D]/[S, D], batched shapes [B, q, D]/[B, S, D]. In
 (F flows stacked on the batch axis that share one audio and vision input):
 their projection, stage-1 attention and stage-2 keys and values then run once
 over n rows. The stage-1 outputs are repeated F times where they meet text;
-stage 2 views its F·n query rows as [F, n, 7, D], so that the shared keys and
-values broadcast over the flow axis.
+in stage 2, `tensor.attend` views the F·n query rows as [F, n, 7, D], so that
+the shared keys and values broadcast over the flow axis.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .imagination import MIAParams, mia_forward
 from .nn import AffineLayer, ParamStore, gaussian_leaf, init_affine, zeros_leaf
-from .tensor import Tensor, concat, softmax
+from .tensor import Tensor, attend, concat, softmax
 
 MODALITIES = ("a", "v", "t")  # audio, vision, text; order fixed
 
@@ -144,19 +144,11 @@ def cross_attend(Q, E, maps, tau):
     """R = softmax(Q K^T / tau) V with K = tanh(affine(V)), V = affine(E).
 
     K and V are computed over E's rows. A batched Q may carry F times E's
-    batch rows (F flows sharing E); it is then viewed as [F, n, q, D], so that
-    K and V broadcast over the flow axis, and R comes back as [F·n, q, D].
+    batch rows (F flows sharing E); `tensor.attend` then broadcasts K and V
+    over the flow axis, and R comes back as [F·n, q, D].
     """
     V = maps.value(E)
-    K = maps.key(V).tanh()
-    rows = Q.shape[0]
-    shared = Q.ndim == E.ndim == 3 and rows != E.shape[0]
-    if shared:
-        Q = Q.reshape((rows // E.shape[0], E.shape[0]) + Q.shape[1:])
-    scores = Q @ K.transpose()
-    attn = softmax(scores, axis=-1, tau=tau)
-    R = attn @ V
-    return R.reshape((rows,) + R.shape[2:]) if shared else R
+    return attend(Q, maps.key(V).tanh(), V, tau)
 
 
 def afg_weights(R_a, R_v, R_t, afg):
@@ -164,7 +156,7 @@ def afg_weights(R_a, R_v, R_t, afg):
     if R_a.shape != R_v.shape or R_a.shape != R_t.shape:
         raise ValueError(f"afg: representations must share shape, got {R_a.shape}, {R_v.shape}, {R_t.shape}")
     x = concat([R_a, R_v, R_t], axis=-1)
-    return softmax(afg(x), axis=-1)
+    return softmax(afg(x))
 
 
 def multiview_queries(R, w):

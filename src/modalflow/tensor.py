@@ -86,9 +86,6 @@ class Tensor:
             return scale(self, float(other))
         return mul(self, _lift(other))
 
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
-
     # -- elementwise / reduction methods --------------------------------------
 
     def tanh(self):
@@ -105,9 +102,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return reduce_mean(self, axis=axis, keepdims=keepdims)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes=axes)
 
     def reshape(self, shape):
         return reshape(self, shape)
@@ -196,26 +190,6 @@ def scale(a, factor):
     return _result("scale", a.values * factor, (a,), bwd)
 
 
-def matmul(a, b):
-    a, b = _lift(a), _lift(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul: operands must be at least 2-D, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError:
-        raise ShapeError(f"matmul: batch dims of {a.shape} and {b.shape} do not broadcast") from None
-    av, bv = a.values, b.values
-
-    def bwd(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), a.shape) if a.attached else None
-        gb = _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), b.shape) if b.attached else None
-        return ga, gb
-
-    return _result("matmul", np.matmul(av, bv), (a, b), bwd)
-
-
 def affine(x, W, b):
     """x @ W + b on the last axis of x; W is [in, out], b is [out]."""
     x, W, b = _lift(x), _lift(W), _lift(b)
@@ -236,24 +210,6 @@ def affine(x, W, b):
     out = np.matmul(xv, Wv)
     out += b.values  # in place: the same sum as matmul + b, without a second [..., out] array
     return _result("affine", out, (x, W, b), bwd)
-
-
-def transpose(a, axes=None):
-    """Permute axes; default swaps the last two (matrix transpose)."""
-    a = _lift(a)
-    if axes is None:
-        if a.ndim < 2:
-            raise ShapeError(f"transpose: need at least 2-D, got {a.shape}")
-        axes = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
-    axes = tuple(int(ax) for ax in axes)
-    if sorted(axes) != list(range(a.ndim)):
-        raise ShapeError(f"transpose: {axes} is not a permutation of {a.ndim} axes")
-    inv = tuple(int(i) for i in np.argsort(axes))
-
-    def bwd(g):
-        return (np.transpose(g, inv),)
-
-    return _result("transpose", np.transpose(a.values, axes), (a,), bwd)
 
 
 def reshape(a, shape):
@@ -342,23 +298,71 @@ def square(a):
     return _result("square", av * av, (a,), bwd)
 
 
-def softmax(a, axis=-1, tau=1.0):
-    """Temperature softmax along one axis, computed with max-subtraction."""
-    a = _lift(a)
-    tau = float(tau)
-    if tau <= 0.0:
-        raise DomainError(f"softmax: temperature must be positive, got {tau}")
-    ax = int(axis) % a.ndim if a.ndim else 0
-    z = a.values / tau
-    z = z - z.max(axis=ax, keepdims=True)
+def _softmax_rows(z):
+    """Softmax along the last axis of a numpy array, with max-subtraction."""
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum(axis=ax, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_rows_grad(g, y):
+    """Gradient of the scores from the gradient g of softmax output y."""
+    return (g - (g * y).sum(axis=-1, keepdims=True)) * y
+
+
+def softmax(a):
+    """Softmax along the last axis."""
+    a = _lift(a)
+    y = _softmax_rows(a.values)
 
     def bwd(g):
-        inner = g - (g * y).sum(axis=ax, keepdims=True)
-        return (inner * y / tau,)
+        return (_softmax_rows_grad(g, y),)
 
     return _result("softmax", y, (a,), bwd)
+
+
+def attend(Q, K, V, tau):
+    """Scaled dot-product attention softmax(Q K^T / tau) V as one node.
+
+    Q is [..., q, D], K is [..., S, D] and V is [..., S, Dv]; the leading axes
+    broadcast. When Q and K are both 3-D and Q has F times K's batch rows (F
+    flows sharing one K and V), Q is viewed as [F, n, q, D], so that K and V
+    broadcast over the flow axis, and the result comes back as [F·n, q, Dv].
+    """
+    Q, K, V = _lift(Q), _lift(K), _lift(V)
+    tau = float(tau)
+    if not tau > 0.0:
+        raise DomainError(f"attend: temperature must be positive, got {tau}")
+    if min(Q.ndim, K.ndim, V.ndim) < 2 or Q.shape[-1] != K.shape[-1] or K.shape[-2] != V.shape[-2]:
+        raise ShapeError(f"attend: need [..., q, D], [..., S, D], [..., S, Dv], got {Q.shape}, {K.shape}, {V.shape}")
+    qv = Q.values
+    rows = Q.shape[0]
+    shared = Q.ndim == K.ndim == 3 and rows != K.shape[0]
+    if shared:
+        if rows % K.shape[0]:
+            raise ShapeError(f"attend: {rows} query rows are not a multiple of {K.shape[0]} key rows")
+        qv = qv.reshape((rows // K.shape[0], K.shape[0]) + Q.shape[1:])
+    try:
+        np.broadcast_shapes(qv.shape[:-2], K.shape[:-2], V.shape[:-2])
+    except ValueError:
+        raise ShapeError(f"attend: batch dims of {Q.shape}, {K.shape}, {V.shape} do not broadcast") from None
+    kt, vv = np.swapaxes(K.values, -1, -2), V.values
+    y = _softmax_rows(np.matmul(qv, kt) / tau)
+    out = np.matmul(y, vv)
+
+    def bwd(g):
+        # stage by stage, with the numpy calls that separate view, product,
+        # softmax and product nodes would make, so the gradients keep their bits
+        g = g.reshape(out.shape)
+        gV = _unbroadcast(np.matmul(np.swapaxes(y, -1, -2), g), V.shape) if V.attached else None
+        if not (Q.attached or K.attached):
+            return None, None, gV
+        gz = _softmax_rows_grad(np.matmul(g, np.swapaxes(vv, -1, -2)), y) / tau
+        gQ = _unbroadcast(np.matmul(gz, np.swapaxes(kt, -1, -2)), qv.shape).reshape(Q.shape) if Q.attached else None
+        gK = np.swapaxes(_unbroadcast(np.matmul(np.swapaxes(qv, -1, -2), gz), kt.shape), -1, -2) if K.attached else None
+        return gQ, gK, gV
+
+    return _result("attend", out.reshape((rows,) + out.shape[2:]) if shared else out, (Q, K, V), bwd)
 
 
 _RNC_BLOCK = 8  # anchor rows per block of rank_contrast's pairwise differences

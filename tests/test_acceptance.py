@@ -138,9 +138,20 @@ def _grad_cases(rng):
         ]
     )
 
+    def attend_stage(q_shape, kv_shape, vary):
+        # operands not named in `vary` (of "qkv") are held constant
+        operands = dict(zip("qkv", [t(q_shape), t(kv_shape), t(kv_shape[:-1] + (2,))]))
+
+        def f(p):
+            ops = dict(operands, **dict(zip(vary, p)))
+            return attend(ops["q"], ops["k"], ops["v"], 1.9).square().sum()
+
+        return f, [operands[c] for c in vary]
+
     cases = {
-        "matmul": lambda: (lambda p: (p[0] @ p[1]).sum(), [t((3, 4)), t((4, 2))]),
-        "transpose": lambda: (lambda p: (p[0].transpose() @ p[0]).sum(), [t((3, 4))]),
+        # attend's product with V, and its product with K^T
+        "matmul": lambda: attend_stage((3, 4), (5, 4), "v"),
+        "transpose": lambda: attend_stage((3, 4), (5, 4), "k"),
         "add": lambda: (lambda p: (p[0] + p[1]).square().sum(), [t((3, 4)), t((4,))]),
         "sub": lambda: (lambda p: (p[0] - p[1]).square().sum(), [t((3, 4)), t((3, 4))]),
         "mul": lambda: (lambda p: (p[0] * p[1]).sum(), [t((3, 4)), t((3, 1))]),
@@ -151,7 +162,7 @@ def _grad_cases(rng):
         "tanh": lambda: (lambda p: p[0].tanh().sum(), [t((3, 4))]),
         "sqrt": lambda: (lambda p: p[0].sqrt().sum(), [pos((3, 4))]),
         "square": lambda: (lambda p: p[0].square().sum(), [t((3, 4))]),
-        "softmax": lambda: (lambda p: softmax(p[0], axis=-1, tau=1.9).square().sum(), [t((3, 4))]),
+        "softmax": lambda: (lambda p: softmax(p[0]).square().sum(), [t((3, 4))]),
         "sum": lambda: (lambda p: p[0].sum(axis=0).square().sum(), [t((3, 4))]),
         "mean": lambda: (lambda p: (p[0] - p[0].mean(axis=1, keepdims=True)).square().sum(), [t((3, 4))]),
         "rank_contrast": lambda: (lambda p: rank_contrast(p[0], tied_keys, 1.3), [coincident((5, 3))]),
@@ -213,8 +224,8 @@ def _grad_cases(rng):
             "loss_mkd": lambda: (lambda p: mkd_loss(teacher, p[0]), [t((2, 3))]),
             "loss_rs": lambda: (lambda p: rs_loss(p[0], p[1]), [t((2, 3)), t((2, 3))]),
             "loss_rnc": lambda: (lambda p: rnc_loss(p[0], rnc_labels, 2.0), [t((8, 3))]),
-            # a 2-D right operand broadcast over a 3-D left one, through matmul's general backward
-            "matmul_3d_by_2d": lambda: (lambda p: (p[0] @ p[1]).square().sum(), [t((2, 3, 4)), t((4, 2))]),
+            # attend with a 2-D K and V broadcast over a 3-D Q's batch axis
+            "matmul_3d_by_2d": lambda: attend_stage((2, 3, 4), (5, 4), "qkv"),
             "affine": lambda: (lambda p: affine(p[0], p[1], p[2]).square().sum(), [t((2, 3, 4)), t((4, 2)), t((2,))]),
         }
     )
@@ -337,11 +348,11 @@ def test_criterion_4_structural_identities():
         np.array_equal(q[k], sum(parts[m] for m in subset)) for k, subset in enumerate(SUBSETS)
     )
 
-    # (c) attention rows sum to 1 within 1e-12
+    # (c) attention rows sum to 1 within 1e-12, read through an identity V
+    # (y @ I is y exactly)
     maps = umca.stage1["a"]
-    V = maps.value(E["a"])
-    K = maps.key(V).tanh()
-    attn = softmax(umca.query["a"] @ K.transpose(), axis=-1, tau=umca.tau).values
+    K = maps.key(maps.value(E["a"])).tanh()
+    attn = attend(umca.query["a"], K, np.eye(K.shape[-2]), umca.tau).values
     checks["attention_rows_sum_to_one"] = np.max(np.abs(attn.sum(axis=-1) - 1.0)) < 1e-12
 
     # (d) gate-off pipeline is bit-identical to a pipeline with no imagination code path

@@ -13,14 +13,13 @@ from modalflow.tensor import (
     Tensor,
     affine,
     ancestors,
+    attend,
     backward,
     concat,
     grad_check,
-    matmul,
     narrow,
     rank_contrast,
     softmax,
-    transpose,
 )
 
 finite_arrays = arrays(
@@ -30,35 +29,43 @@ finite_arrays = arrays(
 )
 
 
-def naive_matmul(a, b):
-    """Triple-loop oracle over the last two axes of plain 2-D arrays."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            for l in range(k):
-                out[i, j] += a[i, l] * b[l, j]
+def naive_attend(q, k, v, tau):
+    """Per-row loop oracle for softmax(q k^T / tau) v on plain 2-D arrays."""
+    out = np.zeros((len(q), v.shape[1]))
+    for i, row in enumerate(q):
+        scores = [sum(row[l] * key[l] for l in range(len(row))) / tau for key in k]
+        weights = [np.exp(s - max(scores)) for s in scores]
+        for w, value in zip(weights, v):
+            out[i] += w / sum(weights) * value
     return out
 
 
 # -- forward oracles ----------------------------------------------------------------
 
 
-def test_matmul_matches_naive_loop(rng):
-    a = rng.normal(size=(4, 5))
-    b = rng.normal(size=(5, 3))
-    got = matmul(Tensor(a), Tensor(b)).values
-    assert np.max(np.abs(got - naive_matmul(a, b))) < 1e-12
-
-
-def test_matmul_batched_broadcast(rng):
-    a = rng.normal(size=(6, 4, 5))
-    b = rng.normal(size=(5, 3))
-    got = matmul(Tensor(a), Tensor(b)).values
-    for i in range(6):
-        assert np.max(np.abs(got[i] - naive_matmul(a[i], b))) < 1e-12
+@pytest.mark.parametrize(
+    "q_shape, kv_shape",
+    [
+        ((4, 5), (6, 5)),
+        ((3, 4, 5), (3, 6, 5)),
+        # stage 1: one [1, D] query row against each sample's sequence
+        ((1, 5), (3, 6, 5)),
+        # two flows share the keys and values: query row f * 3 + i reads row i
+        ((6, 4, 5), (3, 6, 5)),
+    ],
+    ids=["2d", "batched", "stage1", "shared"],
+)
+def test_attend_matches_naive_loop(rng, q_shape, kv_shape):
+    q, k = rng.normal(size=q_shape), rng.normal(size=kv_shape)
+    v = rng.normal(size=kv_shape[:-1] + (3,))
+    got = attend(Tensor(q), Tensor(k), Tensor(v), 1.7).values
+    if got.ndim == 2:
+        want = naive_attend(q, k, v, 1.7)
+    else:
+        n = len(k)
+        want = np.stack([naive_attend(q[i] if q.ndim == 3 else q, k[i % n], v[i % n], 1.7) for i in range(len(got))])
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_softmax_uniform_on_constant_rows():
@@ -68,7 +75,7 @@ def test_softmax_uniform_on_constant_rows():
 
 def test_softmax_rows_sum_to_one_and_positive(rng):
     x = rng.normal(scale=50, size=(5, 7))
-    out = softmax(Tensor(x), axis=-1).values
+    out = softmax(Tensor(x)).values
     assert np.all(out > 0)
     assert np.max(np.abs(out.sum(axis=-1) - 1.0)) < 1e-12
 
@@ -82,9 +89,10 @@ def test_softmax_shift_invariance(x, shift):
 
 
 def test_softmax_temperature_flattens(rng):
-    x = rng.normal(size=(4,)).reshape(1, 4)
-    sharp = softmax(Tensor(x), tau=0.1).values
-    flat = softmax(Tensor(x), tau=10.0).values
+    # attend's softmax over the scores q k^T; an identity V reads its weights
+    q, k = rng.normal(size=(1, 3)), rng.normal(size=(4, 3))
+    sharp = attend(Tensor(q), Tensor(k), np.eye(4), 0.1).values
+    flat = attend(Tensor(q), Tensor(k), np.eye(4), 10.0).values
     assert sharp.max() > flat.max()
 
 
@@ -168,14 +176,14 @@ def test_backward_rejects_detached_loss():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2)))),
-        lambda: matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2)))),
+        lambda: attend(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), Tensor(np.ones((4, 2))), 1.0),
+        lambda: attend(Tensor(np.ones(3)), Tensor(np.ones((4, 3))), Tensor(np.ones((4, 3))), 1.0),
         lambda: Tensor(np.ones((2, 3))) + Tensor(np.ones((4, 5))),
-        lambda: transpose(Tensor(np.ones((2, 3))), axes=(0, 0)),
+        lambda: attend(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3))), Tensor(np.ones((5, 3))), 1.0),
         lambda: Tensor(np.ones(6)).reshape((4, 2)),
         lambda: narrow(Tensor(np.ones((2, 3))), 1, 2, 5),
         lambda: concat([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))], axis=1),
-        lambda: matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 4)))),
+        lambda: attend(Tensor(np.ones((5, 2, 3))), Tensor(np.ones((2, 4, 3))), Tensor(np.ones((2, 4, 3))), 1.0),
         lambda: rank_contrast(Tensor(np.ones((2, 3))), np.zeros((3, 2)), 1.0),
         lambda: rank_contrast(Tensor(np.ones(3)), np.zeros((3, 3)), 1.0),
         lambda: rank_contrast(Tensor(np.ones((1, 3))), np.zeros((1, 1)), 1.0),
@@ -194,9 +202,10 @@ def test_sqrt_domain_error():
         Tensor(np.array([-0.1])).sqrt()
 
 
-def test_softmax_rejects_non_positive_temperature():
+@pytest.mark.parametrize("tau", [0.0, -1.0, np.nan])
+def test_attend_rejects_non_positive_temperature(tau):
     with pytest.raises(DomainError):
-        softmax(Tensor(np.ones((1, 2))), tau=0.0)
+        attend(Tensor(np.ones((1, 2))), Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))), tau)
 
 
 def _masked_loop_loss(a, keys, tau):
@@ -276,7 +285,7 @@ def test_forward_backward_bit_deterministic(rng):
     def run():
         ta = Tensor(a.copy(), requires_grad=True)
         tb = Tensor(b.copy(), requires_grad=True)
-        loss = ((ta @ tb).tanh().square()).sum()
+        loss = (affine(ta, tb, np.zeros(2)).tanh().square()).sum()
         g = backward(loss)
         return loss.item(), g.get(ta).copy(), g.get(tb).copy()
 
@@ -346,14 +355,31 @@ def _rank_contrast_across_blocks(rng):
     return (lambda p: rank_contrast(p[0], keys, 1.3)), [a]
 
 
+def _attend_stage(rng, q_shape, kv_shape, vary):
+    """attend with the operands named in `vary` (of "qkv") as the checked
+    point and the others held constant, so one stage's gradient at a time."""
+    operands = dict(zip("qkv", _points(rng, q_shape, kv_shape, kv_shape[:-1] + (2,))))
+
+    def f(p):
+        ops = dict(operands, **dict(zip(vary, p)))
+        return attend(ops["q"], ops["k"], ops["v"], 1.7).square().sum()
+
+    return f, [operands[c] for c in vary]
+
+
 PRIMITIVE_CASES = {
-    "matmul": lambda r: (lambda p: (p[0] @ p[1]).sum(), _points(r, (3, 4), (4, 2))),
-    "matmul_batched": lambda r: (lambda p: (p[0] @ p[1]).sum(), _points(r, (2, 3, 4), (4, 2))),
-    "matmul_3d_by_2d": lambda r: (lambda p: (p[0] @ p[1]).square().sum(), _points(r, (2, 3, 4), (4, 2))),
+    # attend's stages one at a time under the names of the ops it replaced:
+    # the product with V, the product with K^T, the query path over batches,
+    # and a 2-D K and V broadcast over Q's batch axis
+    "matmul": lambda r: _attend_stage(r, (3, 4), (5, 4), "v"),
+    "transpose": lambda r: _attend_stage(r, (3, 4), (5, 4), "k"),
+    "matmul_batched": lambda r: _attend_stage(r, (2, 3, 4), (2, 5, 4), "q"),
+    "matmul_3d_by_2d": lambda r: _attend_stage(r, (2, 3, 4), (5, 4), "qkv"),
+    "attend_stage1": lambda r: _attend_stage(r, (1, 4), (3, 5, 4), "qkv"),
+    "attend_shared": lambda r: _attend_stage(r, (4, 3, 4), (2, 5, 4), "qkv"),
     "affine_1d": lambda r: (lambda p: affine(p[0], p[1], p[2]).square().sum(), _points(r, (4,), (4, 2), (2,))),
     "affine_2d": lambda r: (lambda p: affine(p[0], p[1], p[2]).square().sum(), _points(r, (3, 4), (4, 2), (2,))),
     "affine_3d": lambda r: (lambda p: affine(p[0], p[1], p[2]).square().sum(), _points(r, (2, 3, 4), (4, 2), (2,))),
-    "transpose": lambda r: (lambda p: (p[0].transpose() @ p[0]).sum(), _points(r, (3, 4))),
     "add": lambda r: (lambda p: (p[0] + p[1]).square().sum(), _points(r, (3, 4), (4,))),
     "sub": lambda r: (lambda p: (p[0] - p[1]).square().sum(), _points(r, (3, 4), (3, 4))),
     "mul": lambda r: (lambda p: (p[0] * p[1]).sum(), _points(r, (3, 4), (3, 1))),
@@ -364,7 +390,7 @@ PRIMITIVE_CASES = {
     "tanh": lambda r: (lambda p: p[0].tanh().sum(), _points(r, (3, 4))),
     "sqrt": lambda r: (lambda p: p[0].sqrt().sum(), _points(r, (3, 4), positive=True)),
     "square": lambda r: (lambda p: p[0].square().sum(), _points(r, (3, 4))),
-    "softmax": lambda r: (lambda p: (softmax(p[0], axis=-1, tau=1.7) * softmax(p[0], axis=-1, tau=1.7)).sum(), _points(r, (3, 4))),
+    "softmax": lambda r: (lambda p: (softmax(p[0]) * softmax(p[0])).sum(), _points(r, (3, 4))),
     "sum_axis": lambda r: (lambda p: p[0].sum(axis=0).square().sum(), _points(r, (3, 4))),
     "mean_keepdims": lambda r: (lambda p: (p[0] - p[0].mean(axis=1, keepdims=True)).square().sum(), _points(r, (3, 4))),
     # rank_contrast's two stages one at a time, then together: the suffix sums
@@ -388,7 +414,7 @@ def test_gradients_match_finite_differences(name):
 @given(x=finite_arrays)
 def test_composite_gradient_property(x):
     def f(p):
-        return (softmax(p[0].tanh(), axis=-1) @ p[0].transpose()).square().sum()
+        return attend(p[0].tanh(), p[0], p[0], 1.3).square().sum()
 
     assert grad_check(f, [Tensor(x)]) < GRAD_TOL
 

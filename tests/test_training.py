@@ -295,19 +295,20 @@ def _default_step_graph(monkeypatch):
 
 
 def test_default_config_step_graph_size(monkeypatch):
-    """One default-config step is one stacked forward with RNC as one node and
-    each affine layer as one node: 188 graph nodes (two separate flow graphs
-    took 303, a composed RNC 213, matmul+add layers 204, audio and vision
-    duplicated to 2n rows 182). Audio and vision now run over n rows shared
-    by both flows, which adds 6 nodes: 2 `concat`s repeat their stage-1
-    outputs for the two flows, and per modality 2 `reshape`s view the stage-2
-    queries as [2, n, 7, D] and the results back as [2n, 7, D], so the n-row
-    keys and values broadcast over the flow axis. A change that splits the
-    flows again fails here."""
+    """One default-config step is one stacked forward with RNC as one node,
+    each affine layer as one node and each of the 6 cross-attention calls as
+    one `attend` node: 166 graph nodes (two separate flow graphs took 303, a
+    composed RNC 213, matmul+add layers 204, audio and vision duplicated to
+    2n rows 182, attention composed from transpose, matmul, softmax and
+    matmul 188). Audio and vision run over n rows shared by both flows: 2
+    `concat`s repeat their stage-1 outputs for the two flows, and the stage-2
+    `attend` nodes view their 2n query rows as [2, n, 7, D], so the n-row keys
+    and values broadcast over the flow axis. A change that splits the flows
+    again fails here."""
     nodes = _default_step_graph(monkeypatch)
-    assert len(nodes) == 188
-    # every layer with a shared 2-D weight is an affine node; matmul is left to attention
-    assert not [n for n in nodes if n.op == "matmul" and n.parents[1].ndim == 2]
+    assert len(nodes) == 166
+    ops = [n.op for n in nodes]
+    assert ops.count("attend") == 6 and ops.count("softmax") == 2
 
 
 def test_every_step_op_has_a_primitive_grad_case(monkeypatch):
