@@ -1,11 +1,13 @@
 """Acceptance suite: nine gate criteria, one pass/fail line each.
 
 Criteria 5-7 share a module-scoped set of trainings (three configurations,
-three seeds each, on identical default-config data), so this module takes a
-few minutes; everything else is fast.
+three seeds each, on identical default-config data, run on up to two worker
+processes), so this module takes a few minutes; everything else is fast.
 """
 
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from modalflow.nn import AffineLayer
 from modalflow.tensor import (
     Tensor,
     affine,
+    attend,
     backward,
     concat,
     grad_check,
@@ -50,6 +53,11 @@ from modalflow.training import (
 )
 
 SEEDS = (0, 1, 2)
+SPECS = {
+    "full": AblationSpec(),
+    "no_recovery": AblationSpec(use_mia=False, use_mkd=False),
+    "no_recovery_no_rnc": AblationSpec(use_mia=False, use_mkd=False, use_rnc=False),
+}
 
 
 def report(num, ok, detail):
@@ -60,24 +68,27 @@ def report(num, ok, detail):
 # -- shared trainings for criteria 5, 6, 7 ----------------------------------------------
 
 
+def _timed_fit(datasets, name, seed):
+    """One default-config fit of SPECS[name], timed in the process that runs it."""
+    start = time.perf_counter()
+    checkpoint, _ = fit(datasets, ModelConfig(), TrainConfig(seed=seed), ablation=SPECS[name])
+    return checkpoint, time.perf_counter() - start
+
+
 @pytest.fixture(scope="module")
 def trained():
-    """Default-config data; full / no-recovery / no-recovery-no-rnc x 3 seeds."""
+    """Default-config data; full / no-recovery / no-recovery-no-rnc x 3 seeds.
+
+    The nine fits are independent, so they run on a pool of up to two worker
+    processes; each one is timed inside its worker for criterion 5's budget.
+    """
     datasets = generate_dataset(SynthConfig())
-    model = ModelConfig()
-    specs = {
-        "full": AblationSpec(),
-        "no_recovery": AblationSpec(use_mia=False, use_mkd=False),
-        "no_recovery_no_rnc": AblationSpec(use_mia=False, use_mkd=False, use_rnc=False),
-    }
-    runs = {}
-    for name, spec in specs.items():
-        per_seed = []
-        for seed in SEEDS:
-            start = time.perf_counter()
-            checkpoint, _ = fit(datasets, model, TrainConfig(seed=seed), ablation=spec)
-            per_seed.append((checkpoint, time.perf_counter() - start))
-        runs[name] = per_seed
+    jobs = [(name, seed) for name in SPECS for seed in SEEDS]
+    with ProcessPoolExecutor(max_workers=min(2, os.cpu_count() or 1)) as pool:
+        results = list(pool.map(_timed_fit, [datasets] * len(jobs), *zip(*jobs)))
+    runs = {name: [] for name in SPECS}
+    for (name, _), result in zip(jobs, results):
+        runs[name].append(result)
     return datasets, runs
 
 
