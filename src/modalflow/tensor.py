@@ -433,7 +433,7 @@ def rank_contrast(a, keys, tau):
 
     def bwd(g):
         g_log = np.broadcast_to(g * mean, d.shape) * off_diag / ratio
-        g_denom = -g_log * e / (denom * denom)
+        g_denom = -g_log * ratio / denom  # not e / denom**2: the square underflows past ~354 * tau
         # e_ik at sorted index q enters every denominator whose tie group starts
         # at or before q: all positions up to the end of q's own group
         g_e = g_log / denom + np.take(np.cumsum(np.take(g_denom, flat), axis=1), last_at)

@@ -168,6 +168,20 @@ def test_rnc_matches_oracle_for_close_rows_at_large_norm(rng):
     assert abs(got - rnc_oracle(reps, labels, 2.0)) < 1e-10
 
 
+@pytest.mark.parametrize("sep", [800.0, 1400.0])
+def test_rnc_gradient_finite_far_apart(sep):
+    # pairs ~sep apart at tau = 2: exp(-d / tau) is still nonzero (up to
+    # ~745 * tau), but the square of a denominator underflows from ~354 * tau
+    reps = np.array([[0.0], [sep], [0.5], [sep + 0.5]])
+    labels = np.array([0.0, 1.0, 0.0, 1.0])
+    x = Tensor(reps, requires_grad=True)
+    loss = rnc_loss(x, labels, 2.0)
+    assert abs(loss.item() - rnc_oracle(reps, labels, 2.0)) < 1e-10
+    grad = backward(loss).get(x)
+    assert np.all(np.isfinite(grad))
+    assert grad_check(lambda p: rnc_loss(p[0], labels, 2.0), [Tensor(reps)]) < 1e-5
+
+
 def test_rnc_single_pair_is_exactly_zero(rng):
     reps = rng.normal(size=(2, 5))
     labels = np.array([1.2, 1.2])
