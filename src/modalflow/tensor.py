@@ -351,12 +351,10 @@ def attend(Q, K, V, tau):
     out = np.matmul(y, vv)
 
     def bwd(g):
-        # stage by stage, with the numpy calls that separate view, product,
-        # softmax and product nodes would make, so the gradients keep their bits
+        # stage by stage, with the numpy calls and order of separate view,
+        # product, softmax and product nodes, so the gradients keep their bits
         g = g.reshape(out.shape)
         gV = _unbroadcast(np.matmul(np.swapaxes(y, -1, -2), g), V.shape) if V.attached else None
-        if not (Q.attached or K.attached):
-            return None, None, gV
         gz = _softmax_rows_grad(np.matmul(g, np.swapaxes(vv, -1, -2)), y) / tau
         gQ = _unbroadcast(np.matmul(gz, np.swapaxes(kt, -1, -2)), qv.shape).reshape(Q.shape) if Q.attached else None
         gK = np.swapaxes(_unbroadcast(np.matmul(np.swapaxes(qv, -1, -2), gz), kt.shape), -1, -2) if K.attached else None
