@@ -284,8 +284,9 @@ class Batch:
 def batch_iter(dataset, batch_size, shuffle_seed=None):
     """Yield every sample exactly once per epoch; short final batch kept.
 
-    shuffle_seed=None preserves dataset order; any integer (or seed sequence)
-    gives a deterministic permutation.
+    shuffle_seed=None preserves dataset order and yields views into the
+    dataset's arrays, which must be treated as read-only; any integer (or seed
+    sequence) gives a deterministic permutation and batches of copies.
     """
     if batch_size < 1:
         raise ValueError(f"batch_iter: batch_size must be >= 1, got {batch_size}")
@@ -294,11 +295,13 @@ def batch_iter(dataset, batch_size, shuffle_seed=None):
         order = np.random.default_rng(shuffle_seed).permutation(dataset.n)
     for start in range(0, dataset.n, batch_size):
         idx = order[start : start + batch_size]
+        # in dataset order a basic slice, which views the arrays; shuffled, a fancy index, which copies
+        rows = slice(start, start + batch_size) if shuffle_seed is None else idx
         yield Batch(
             indices=idx,
-            audio=dataset.audio[idx],
-            vision=dataset.vision[idx],
-            text=dataset.text[idx],
-            sim_text=dataset.sim_text[idx],
-            labels=dataset.labels[idx],
+            audio=dataset.audio[rows],
+            vision=dataset.vision[rows],
+            text=dataset.text[rows],
+            sim_text=dataset.sim_text[rows],
+            labels=dataset.labels[rows],
         )

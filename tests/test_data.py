@@ -256,6 +256,17 @@ def test_batch_iter_seeded_shuffle(small_data):
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("shuffle_seed, shared", [(None, True), (3, False)])
+def test_batch_iter_views_only_in_dataset_order(small_data, shuffle_seed, shared):
+    """Unshuffled batches are views into the dataset (no copy per predict
+    call); shuffled training batches are copies."""
+    ds = small_data["val"]
+    for batch in batch_iter(ds, 8, shuffle_seed=shuffle_seed):
+        for name, arr in ds.tensors().items():
+            assert np.shares_memory(getattr(batch, name), arr) == shared, name
+            assert np.array_equal(getattr(batch, name), arr[batch.indices])
+
+
 def test_batch_iter_rejects_bad_size(small_data):
     with pytest.raises(ValueError):
         list(batch_iter(small_data["val"], 0))

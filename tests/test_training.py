@@ -1,4 +1,7 @@
 import json
+import multiprocessing
+import os
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -479,6 +482,153 @@ def test_evaluate_warns_without_recovery_components(tiny_data):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="no samples"):
             evaluate(empty, checkpoint, "missing")
+
+
+# -- inference on two threads -----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def wide_test():
+    """A 300-sample test split: evaluate cuts it into 256 + 44 samples, one
+    batch per thread."""
+    return generate_dataset(SynthConfig(**{**SYNTH, "n_test": 300}))["test"]
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    training._helper.submit(int).result(timeout=60)  # the helper thread is up before threads are counted
+
+
+def log_flows(monkeypatch, before_forward=None):
+    """Wrap training._flow: record (first sample, thread id) per batch and
+    call before_forward(batch) ahead of each forward."""
+    log = []
+    real_flow = training._flow
+
+    def flow(batch, *args):
+        log.append((int(batch.indices[0]), threading.get_ident()))
+        if before_forward is not None:
+            before_forward(batch)
+        return real_flow(batch, *args)
+
+    monkeypatch.setattr(training, "_flow", flow)
+    return log
+
+
+def serial_predict(dataset, checkpoint, modes, batch_size):
+    """The one-thread per-batch loop that _predict splits between two threads."""
+    umca, mia1, mia2 = fusion.param_views({k: Tensor(v) for k, v in checkpoint.params.items()}, checkpoint.model_config)
+    preds, reps = [], []
+    for batch in batch_iter(dataset, batch_size // len(modes)):
+        out = training._flow(batch, umca, (mia1, mia2), modes, checkpoint.ablation)
+        preds.append(out.y_hat.values.reshape(len(modes), batch.n))
+        reps.append(out.r.values.reshape(len(modes), batch.n, -1))
+    return np.concatenate(preds, axis=1), np.concatenate(reps, axis=1)
+
+
+@pytest.mark.parametrize("modes, batch_size", [(("complete",), 128), (("missing",), 128), (MODES, 256)])
+def test_threaded_predict_bitwise_equals_serial_loop(wide_test, fitted, two_cpus, monkeypatch, modes, batch_size):
+    """300 samples in 128 + 128 + 44: an odd batch count with a ragged last
+    batch; the caller runs batches 0 and 2, the helper batch 1."""
+    checkpoint, _ = fitted
+    log = log_flows(monkeypatch)
+    preds, reps = _predict(wide_test, checkpoint.params, checkpoint.model_config, modes, checkpoint.ablation, batch_size)
+    threads = dict(log)
+    assert sorted(threads) == [0, 128, 256]
+    assert threads[0] == threads[256] == threading.get_ident() != threads[128]
+    monkeypatch.undo()
+    want_preds, want_reps = serial_predict(wide_test, checkpoint, modes, batch_size)
+    assert preds.shape == (len(modes), 300) and reps.shape[:2] == (len(modes), 300)
+    assert np.array_equal(preds, want_preds)
+    assert np.array_equal(reps, want_reps)
+
+
+def test_evaluate_starts_no_thread_per_call(wide_test, fitted, two_cpus, monkeypatch):
+    """Every call's odd batch runs on the one helper thread, which outlives the call."""
+    checkpoint, _ = fitted
+    log = log_flows(monkeypatch)
+    before = threading.active_count()
+    for mode in ("complete", "missing", "complete"):
+        evaluate(wide_test, checkpoint, mode)
+    assert threading.active_count() == before
+    helpers = {thread for start, thread in log if start == 256}
+    assert len(helpers) == 1 and threading.get_ident() not in helpers
+
+
+@pytest.mark.parametrize("failing, runs_on", [(0, "caller"), (256, "helper")])
+def test_evaluate_raises_a_batch_error_from_either_thread(wide_test, fitted, two_cpus, monkeypatch, failing, runs_on):
+    checkpoint, _ = fitted
+    caller = threading.get_ident()
+    armed = [True]
+
+    def fail(batch):
+        if armed[0] and batch.indices[0] == failing:
+            assert (threading.get_ident() == caller) == (runs_on == "caller")
+            raise RuntimeError(f"forward of the batch at sample {failing} failed")
+
+    log_flows(monkeypatch, fail)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"forward of the batch at sample {failing} failed"):
+        evaluate(wide_test, checkpoint, "missing")
+    assert threading.active_count() == before
+    armed[0] = False  # the helper still serves the next call
+    assert np.isfinite(evaluate(wide_test, checkpoint, "missing")[0])
+
+
+def test_a_runtime_warning_on_the_helper_thread_fails_the_call(wide_test, fitted, two_cpus, monkeypatch):
+    """pyproject.toml's error::RuntimeWarning filter is process-wide, so the
+    suite's warning gate also covers the helper's forwards."""
+    assert any(action == "error" and category is RuntimeWarning for action, _, category, *_ in warnings.filters)
+    checkpoint, _ = fitted
+    caller = threading.get_ident()
+
+    def overflow_on_helper(batch):
+        if threading.get_ident() != caller:
+            np.exp(np.array([1000.0]))
+
+    log = log_flows(monkeypatch, overflow_on_helper)
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        evaluate(wide_test, checkpoint, "complete")
+    assert [start for start, thread in log if thread != caller] == [256]
+
+
+def test_one_cpu_runs_every_batch_on_the_caller(wide_test, fitted, monkeypatch):
+    checkpoint, _ = fitted
+    args = (wide_test, checkpoint.params, checkpoint.model_config, MODES, checkpoint.ablation)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    threaded = _predict(*args)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(training, "_helper", None)  # a submit to the helper would raise
+    log = log_flows(monkeypatch)
+    before = threading.active_count()
+    serial = _predict(*args)
+    assert threading.active_count() == before
+    assert log == [(0, threading.get_ident()), (128, threading.get_ident()), (256, threading.get_ident())]
+    assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
+
+
+def _predict_in_child(queue, args):
+    queue.put(_predict(*args))
+
+
+def test_a_forked_child_gets_a_helper_of_its_own(wide_test, fitted, two_cpus):
+    """A child forked after the helper thread started does not have that
+    thread; a submit to the parent's executor would never run."""
+    checkpoint, _ = fitted
+    args = (wide_test, checkpoint.params, checkpoint.model_config, MODES, checkpoint.ablation)
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_predict_in_child, args=(queue, args))
+    child.start()
+    try:
+        got = queue.get(timeout=60)
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.terminate()
+    assert child.exitcode == 0
+    assert all(np.array_equal(a, b) for a, b in zip(got, _predict(*args)))
 
 
 def test_similarity_matrix_properties(tiny_data, fitted):
