@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, replace
@@ -180,16 +181,12 @@ def _predict(dataset, params_values, model_config, modes, ablation, batch_size=2
     over batch_size // F samples, so it holds batch_size text rows whatever F
     is (more rows per forward measured slower: the arrays outgrow the cache).
 
-    The batches are independent and build no graph, so with more than one
-    batch and more than one CPU the calling thread runs the even-indexed ones
-    while one helper thread runs the odd ones; a batch's numpy calls are the
-    same on either thread, so the outputs keep their bits. The caller works
-    rather than waiting on a pool of two threads: that was as fast but peaked
-    15% higher in RSS. Smaller forwards over two threads gained far less, as
-    their Python overhead is serialised by the GIL. The helper lives as long
-    as the process: glibc malloc gives each thread an arena of its own, and
-    under CPU contention a helper made per call could start before the last
-    one had exited and so get a fresh arena, each one +6 MB of peak RSS."""
+    The batches are independent and build no graph: the calling thread runs
+    the even-indexed ones and one helper thread the odd ones, with the same
+    numpy calls per batch, so the outputs keep their bits. If either thread
+    raises, the other stops after its current batch. It is one helper that
+    lives as long as the process, beside a working caller, because each
+    further thread and its malloc arena cost peak RSS."""
     if not modes or tuple(m for m in MODES if m in modes) != tuple(modes):
         raise ValueError(f"each mode must be one of {MODES}, in that order, got {modes!r} (split '{dataset.split}')")
     if dataset.n < 1:
@@ -199,23 +196,27 @@ def _predict(dataset, params_values, model_config, modes, ablation, batch_size=2
     batches = list(batch_iter(dataset, batch_size // len(modes)))
     preds = [None] * len(batches)
     reps = [None] * len(batches)
+    stop = threading.Event()
 
-    def run(first, stride):
-        for i in range(first, len(batches), stride):
-            out = _flow(batches[i], umca, mia, modes, ablation)
-            preds[i] = out.y_hat.values.reshape(len(modes), batches[i].n)
-            reps[i] = out.r.values.reshape(len(modes), batches[i].n, -1)
-            del out  # the rest of the flow's outputs need not outlive the batch
-
-    if len(batches) > 1 and (os.cpu_count() or 1) > 1:
-        odd = _helper.submit(run, 1, 2)
+    def run(first):
         try:
-            run(0, 2)
-        finally:
-            wait([odd])  # the helper's batches are done before this call returns or raises
-        odd.result()
-    else:
-        run(0, 1)
+            for i in range(first, len(batches), 2):
+                if stop.is_set():
+                    return
+                out = _flow(batches[i], umca, mia, modes, ablation)
+                preds[i] = out.y_hat.values.reshape(len(modes), batches[i].n)
+                reps[i] = out.r.values.reshape(len(modes), batches[i].n, -1)
+                del out  # the rest of the flow's outputs need not outlive the batch
+        except BaseException:
+            stop.set()
+            raise
+
+    odd = _helper.submit(run, 1)
+    try:
+        run(0)
+    finally:
+        wait([odd])  # the helper's batches are done before this call returns or raises
+    odd.result()
     return np.concatenate(preds, axis=1), np.concatenate(reps, axis=1)
 
 

@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -495,8 +496,7 @@ def wide_test():
 
 
 @pytest.fixture
-def two_cpus(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def helper_up():
     training._helper.submit(int).result(timeout=60)  # the helper thread is up before threads are counted
 
 
@@ -528,7 +528,7 @@ def serial_predict(dataset, checkpoint, modes, batch_size):
 
 
 @pytest.mark.parametrize("modes, batch_size", [(("complete",), 128), (("missing",), 128), (MODES, 256)])
-def test_threaded_predict_bitwise_equals_serial_loop(wide_test, fitted, two_cpus, monkeypatch, modes, batch_size):
+def test_threaded_predict_bitwise_equals_serial_loop(wide_test, fitted, helper_up, monkeypatch, modes, batch_size):
     """300 samples in 128 + 128 + 44: an odd batch count with a ragged last
     batch; the caller runs batches 0 and 2, the helper batch 1."""
     checkpoint, _ = fitted
@@ -544,7 +544,7 @@ def test_threaded_predict_bitwise_equals_serial_loop(wide_test, fitted, two_cpus
     assert np.array_equal(reps, want_reps)
 
 
-def test_evaluate_starts_no_thread_per_call(wide_test, fitted, two_cpus, monkeypatch):
+def test_evaluate_starts_no_thread_per_call(wide_test, fitted, helper_up, monkeypatch):
     """Every call's odd batch runs on the one helper thread, which outlives the call."""
     checkpoint, _ = fitted
     log = log_flows(monkeypatch)
@@ -556,27 +556,38 @@ def test_evaluate_starts_no_thread_per_call(wide_test, fitted, two_cpus, monkeyp
     assert len(helpers) == 1 and threading.get_ident() not in helpers
 
 
-@pytest.mark.parametrize("failing, runs_on", [(0, "caller"), (256, "helper")])
-def test_evaluate_raises_a_batch_error_from_either_thread(wide_test, fitted, two_cpus, monkeypatch, failing, runs_on):
+@pytest.mark.parametrize("failing, runs_on", [(0, "caller"), (32, "helper")])
+def test_predict_raises_a_batch_error_from_either_thread(wide_test, fitted, helper_up, monkeypatch, failing, runs_on):
+    """300 samples in ten batches of 32 (the last ragged), five per thread.
+    The failing thread raises on its first batch; the other, slowed to at
+    least 20 ms a batch, starts at most one more batch after that."""
     checkpoint, _ = fitted
     caller = threading.get_ident()
     armed = [True]
+    failed_at = []
 
-    def fail(batch):
-        if armed[0] and batch.indices[0] == failing:
+    def fail_or_slow(batch):
+        if not armed[0]:
+            return
+        if batch.indices[0] == failing:
             assert (threading.get_ident() == caller) == (runs_on == "caller")
+            failed_at.append(len(log))
             raise RuntimeError(f"forward of the batch at sample {failing} failed")
+        time.sleep(0.02)
 
-    log_flows(monkeypatch, fail)
+    log = log_flows(monkeypatch, fail_or_slow)
     before = threading.active_count()
+    args = (wide_test, checkpoint.params, checkpoint.model_config, ("missing",), checkpoint.ablation, 32)
     with pytest.raises(RuntimeError, match=f"forward of the batch at sample {failing} failed"):
-        evaluate(wide_test, checkpoint, "missing")
+        _predict(*args)
     assert threading.active_count() == before
+    failing_thread = dict(log)[failing]
+    assert sum(thread != failing_thread for _, thread in log[failed_at[0]:]) <= 1
     armed[0] = False  # the helper still serves the next call
     assert np.isfinite(evaluate(wide_test, checkpoint, "missing")[0])
 
 
-def test_a_runtime_warning_on_the_helper_thread_fails_the_call(wide_test, fitted, two_cpus, monkeypatch):
+def test_a_runtime_warning_on_the_helper_thread_fails_the_call(wide_test, fitted, helper_up, monkeypatch):
     """pyproject.toml's error::RuntimeWarning filter is process-wide, so the
     suite's warning gate also covers the helper's forwards."""
     assert any(action == "error" and category is RuntimeWarning for action, _, category, *_ in warnings.filters)
@@ -593,26 +604,11 @@ def test_a_runtime_warning_on_the_helper_thread_fails_the_call(wide_test, fitted
     assert [start for start, thread in log if thread != caller] == [256]
 
 
-def test_one_cpu_runs_every_batch_on_the_caller(wide_test, fitted, monkeypatch):
-    checkpoint, _ = fitted
-    args = (wide_test, checkpoint.params, checkpoint.model_config, MODES, checkpoint.ablation)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    threaded = _predict(*args)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(training, "_helper", None)  # a submit to the helper would raise
-    log = log_flows(monkeypatch)
-    before = threading.active_count()
-    serial = _predict(*args)
-    assert threading.active_count() == before
-    assert log == [(0, threading.get_ident()), (128, threading.get_ident()), (256, threading.get_ident())]
-    assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
-
-
 def _predict_in_child(queue, args):
     queue.put(_predict(*args))
 
 
-def test_a_forked_child_gets_a_helper_of_its_own(wide_test, fitted, two_cpus):
+def test_a_forked_child_gets_a_helper_of_its_own(wide_test, fitted, helper_up):
     """A child forked after the helper thread started does not have that
     thread; a submit to the parent's executor would never run."""
     checkpoint, _ = fitted
