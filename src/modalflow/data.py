@@ -11,12 +11,15 @@ On-disk format: one directory holding `manifest.json` plus one raw `.bin`
 file per tensor field per split (little-endian float64, row-major, samples
 concatenated along the leading axis). `write_tensor`/`read_tensor` are the
 one codec for these files; checkpoints (`training.save_checkpoint`) use it
-too and choose only their own file names and manifest keys.
+too and choose only their own file names and manifest keys. A save first
+removes the directory's old manifest and writes the new one last, atomically,
+so a save that stops partway leaves a directory that fails to load.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -211,12 +214,43 @@ def check_dtype(manifest, where):
         raise DatasetError(f"load: {where} declares dtype {manifest.get('dtype')!r}, expected {TENSOR_DTYPE!r}")
 
 
+def start_save(path):
+    """Make the directory `path` ready for a save: it exists and holds no
+    manifest, so a reader cannot pair an old manifest with new tensor files."""
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
+    (path / "manifest.json").unlink(missing_ok=True)
+    return path
+
+
+def finish_save(path, manifest):
+    """Write a save's manifest.json after all its tensors: to a temp file, then
+    renamed over, so it appears whole or not at all."""
+    tmp = Path(path) / "manifest.json.tmp"
+    tmp.write_text(json.dumps(manifest, indent=2))
+    os.replace(tmp, Path(path) / "manifest.json")
+
+
+def require_keys(manifest, keys, where):
+    """Raise DatasetError naming each of `keys` that `manifest` lacks."""
+    missing = [key for key in keys if key not in manifest]
+    if missing:
+        raise DatasetError(f"load: {where} lacks {', '.join(map(repr, missing))}")
+
+
+def config_from(cls, manifest, key, where):
+    """`cls(**manifest[key])`; an unknown or ill-typed field raises DatasetError."""
+    try:
+        return cls(**manifest[key])
+    except TypeError as exc:
+        raise DatasetError(f"load: {where} '{key}': {exc}") from None
+
+
 def save_dataset(datasets, path):
     """Write one or more splits into a directory (manifest + per-tensor .bin)."""
     if isinstance(datasets, Dataset):
         datasets = {datasets.split: datasets}
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+    path = start_save(path)
     manifest = {
         "format": "modalflow-dataset-v1",
         "dtype": TENSOR_DTYPE,
@@ -228,7 +262,7 @@ def save_dataset(datasets, path):
             "n": int(ds.n),
             "tensors": {name: write_tensor(path, f"{split}_{name}.bin", arr) for name, arr in ds.tensors().items()},
         }
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    finish_save(path, manifest)
 
 
 def load_dataset(path, split=None):
@@ -245,7 +279,8 @@ def load_dataset(path, split=None):
     if manifest.get("format") != "modalflow-dataset-v1":
         raise DatasetError(f"load: unrecognized format {manifest.get('format')!r}")
     check_dtype(manifest, manifest_path)
-    config = SynthConfig(**manifest["config"])
+    require_keys(manifest, ("config", "splits"), manifest_path)
+    config = config_from(SynthConfig, manifest, "config", manifest_path)
 
     splits = manifest["splits"]
     if split is not None:
@@ -256,6 +291,7 @@ def load_dataset(path, split=None):
 
 
 def _load_split(path, config, split, entry):
+    require_keys(entry, ("tensors",), f"split '{split}'")
     arrays = {}
     for name in TENSOR_FIELDS:
         if name not in entry["tensors"]:

@@ -1,14 +1,22 @@
-"""Parameterized layers, Gaussian initialization, and Adam over a flat store."""
+"""Parameterized layers, Gaussian initialization, and Adam over a flat store.
+
+Adam's state is the learning rate, the step count and two flat moment arrays
+laid out in store order; its betas and epsilon are the module constants below.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import GradMap, Tensor, affine
 
 INIT_STD = 0.02
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class ParamStore(dict):
@@ -25,13 +33,6 @@ class ParamStore(dict):
     def snapshot(self):
         """Deep value copy, for checkpointing."""
         return {name: t.values.copy() for name, t in self.items()}
-
-    def load_values(self, values):
-        for name, t in self.items():
-            arr = np.asarray(values[name], dtype=np.float64)
-            if arr.shape != t.shape:
-                raise ValueError(f"parameter '{name}': stored shape {arr.shape} != expected {t.shape}")
-            t.values = arr.copy()
 
 
 @dataclass
@@ -79,35 +80,24 @@ def init_affine(rng, store, prefix, in_dim, out_dim):
 
 @dataclass
 class AdamState:
+    """Learning rate, step count and the first and second moments, each one
+    flat array over all parameters in store order; `m` and `v` stay None until
+    the first step sizes them."""
+
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-
-    def snapshot(self):
-        return {
-            "step": self.step,
-            "m": {k: a.copy() for k, a in self.m.items()},
-            "v": {k: a.copy() for k, a in self.v.items()},
-        }
-
-    def load(self, snap):
-        self.step = int(snap["step"])
-        self.m = {k: np.asarray(a, dtype=np.float64).copy() for k, a in snap["m"].items()}
-        self.v = {k: np.asarray(a, dtype=np.float64).copy() for k, a in snap["v"].items()}
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def adam_step(state, params, grads):
     """One Adam update with bias correction, in place on the store.
 
     Parameters missing from `grads` see a zero gradient. A gradient whose
-    shape differs from its parameter's, or a non-finite one, rejects the whole
-    step before any mutation. The update runs once over all parameters laid
-    end to end, with the same arithmetic per element as a per-parameter loop;
-    `state.m` and `state.v` keep one array per parameter name.
+    shape differs from its parameter's, a non-finite one, or a store whose size
+    differs from the moments' rejects the whole step before any mutation. The
+    update runs once over all parameters laid end to end, with the same
+    arithmetic per element as a per-parameter loop.
     """
     items = list(params.items())
     if isinstance(grads, GradMap):
@@ -121,22 +111,20 @@ def adam_step(state, params, grads):
     if not np.isfinite(g).all():
         bad = next(name for (name, _), gi in zip(items, gs) if not np.isfinite(gi).all())
         raise FloatingPointError(f"adam: non-finite gradient for parameter '{bad}'")
-
-    def flat(moments):
-        return np.concatenate([moments[name] if name in moments else np.zeros(p.shape) for name, p in items], axis=None)
+    if state.m is None:
+        state.m, state.v = np.zeros(g.size), np.zeros(g.size)
+    elif state.m.size != g.size:
+        raise ValueError(f"adam: state holds moments for {state.m.size} values, the store has {g.size}")
 
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    m = state.beta1 * flat(state.m) + (1.0 - state.beta1) * g
-    v = state.beta2 * flat(state.v) + (1.0 - state.beta2) * (g * g)
-    update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (g * g)
+    update = state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPS)
     values = np.concatenate([p.values for _, p in items], axis=None) - update
     end = 0
-    for name, p in items:
-        shape = p.shape
+    for _, p in items:
         start, end = end, end + p.size
-        state.m[name] = m[start:end].reshape(shape)
-        state.v[name] = v[start:end].reshape(shape)
-        p.values = values[start:end].reshape(shape)
+        p.values = values[start:end].reshape(p.shape)

@@ -11,9 +11,11 @@ the missing rows. Early stopping monitors the complete-mode validation MAE and
 the best-MAE parameters are returned.
 
 The model's input sizes are not configured: `fit` reads each modality's raw
-feature size from the train split. Checkpoints are stored with the dataset
-tensor codec (`data.write_tensor`/`data.read_tensor`); this module picks only
-their file names and manifest keys.
+feature size from the train split. A checkpoint holds what inference reads:
+the parameters and the run's metadata, not the optimizer state. Checkpoints
+are stored with the dataset tensor codec (`data.write_tensor`/
+`data.read_tensor`); this module picks only their file names and manifest
+keys.
 """
 
 from __future__ import annotations
@@ -29,7 +31,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import TENSOR_DTYPE, batch_iter, check_dtype, read_tensor, write_tensor
+from .data import (
+    TENSOR_DTYPE,
+    batch_iter,
+    check_dtype,
+    config_from,
+    finish_save,
+    read_tensor,
+    require_keys,
+    start_save,
+    write_tensor,
+)
 from .fusion import MODALITIES, ModelConfig, init_model, param_views, project_modality, umca_forward
 from .losses import LossWeights, make_report, mkd_loss, rnc_loss, rs_loss, task_loss, total_loss
 from .nn import AdamState, adam_step
@@ -82,7 +94,6 @@ class AblationSpec:
 @dataclass
 class Checkpoint:
     params: dict  # name -> ndarray
-    optimizer: dict  # AdamState snapshot
     epoch: int
     best_val_mae: float
     model_config: ModelConfig
@@ -338,17 +349,16 @@ def fit(datasets, model_config, train_config, ablation=None, out_dir=None):
         )
         if val_mae_c < best_mae:
             best_mae = val_mae_c
-            best_state = (store.snapshot(), optimizer.snapshot(), epoch)
+            best_state = (store.snapshot(), epoch)
             no_improve = 0
         else:
             no_improve += 1
         if no_improve >= train_config.patience:
             break
 
-    params, opt_snap, best_epoch = best_state
+    params, best_epoch = best_state
     checkpoint = Checkpoint(
         params=params,
-        optimizer=opt_snap,
         epoch=best_epoch,
         best_val_mae=best_mae,
         model_config=model_config,
@@ -374,26 +384,26 @@ def write_history_csv(path, history):
 # -- checkpoint persistence ------------------------------------------------------------
 
 
+CHECKPOINT_FORMAT = "modalflow-checkpoint-v3"
+CHECKPOINT_KEYS = ("epoch", "best_val_mae", "model_config", "train_config", "ablation", "tensors")
+
+
 def save_checkpoint(checkpoint, path):
-    """Directory with manifest.json plus per-tensor .bin (the dataset codec)."""
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+    """Directory with manifest.json plus one .bin per parameter (the dataset codec)."""
+    path = start_save(path)
     manifest = {
-        "format": "modalflow-checkpoint-v2",
+        "format": CHECKPOINT_FORMAT,
         "dtype": TENSOR_DTYPE,
         "epoch": checkpoint.epoch,
         "best_val_mae": checkpoint.best_val_mae,
-        "optimizer_step": checkpoint.optimizer["step"],
         "model_config": asdict(checkpoint.model_config),
         "train_config": asdict(checkpoint.train_config),
         "ablation": asdict(checkpoint.ablation),
         "tensors": {},
     }
-    groups = {"param": checkpoint.params, "adam_m": checkpoint.optimizer["m"], "adam_v": checkpoint.optimizer["v"]}
-    items = [(f"{group}:{name}", arr) for group, tensors in groups.items() for name, arr in tensors.items()]
-    for i, (key, arr) in enumerate(items):
-        manifest["tensors"][key] = write_tensor(path, f"t{i:04d}.bin", arr)
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    for i, (name, arr) in enumerate(checkpoint.params.items()):
+        manifest["tensors"][f"param:{name}"] = write_tensor(path, f"t{i:04d}.bin", arr)
+    finish_save(path, manifest)
 
 
 def load_checkpoint(path):
@@ -404,29 +414,29 @@ def load_checkpoint(path):
     if not manifest_path.exists():
         raise FileNotFoundError(f"no checkpoint manifest under {path}")
     manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format") != "modalflow-checkpoint-v2":
+    if manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format {manifest.get('format')!r}")
     check_dtype(manifest, manifest_path)
+    require_keys(manifest, CHECKPOINT_KEYS, manifest_path)
 
-    groups = {"param": {}, "adam_m": {}, "adam_v": {}}
+    params = {}
     for key, entry in manifest["tensors"].items():
         group, sep, name = key.partition(":")
-        if not sep or group not in groups:
-            raise ValueError(f"checkpoint tensor '{key}': group must be one of {tuple(groups)}")
-        groups[group][name] = read_tensor(path, entry, key)
-    model_config = ModelConfig(**manifest["model_config"])
+        if not sep or group != "param":
+            raise ValueError(f"checkpoint tensor '{key}': name must be 'param:<parameter name>'")
+        params[name] = read_tensor(path, entry, key)
+    model_config = config_from(ModelConfig, manifest, "model_config", manifest_path)
     try:
-        param_views(groups["param"], model_config)
+        param_views(params, model_config)
     except KeyError as exc:
         raise ValueError(f"checkpoint at {path} lacks model parameter 'param:{exc.args[0]}'") from None
     return Checkpoint(
-        params=groups["param"],
-        optimizer={"step": int(manifest["optimizer_step"]), "m": groups["adam_m"], "v": groups["adam_v"]},
+        params=params,
         epoch=int(manifest["epoch"]),
         best_val_mae=float(manifest["best_val_mae"]),
         model_config=model_config,
-        train_config=TrainConfig(**manifest["train_config"]),
-        ablation=AblationSpec(**manifest["ablation"]),
+        train_config=config_from(TrainConfig, manifest, "train_config", manifest_path),
+        ablation=config_from(AblationSpec, manifest, "ablation", manifest_path),
     )
 
 

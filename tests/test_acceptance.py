@@ -467,13 +467,15 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     checkpoint, _ = fit(datasets, model, train)
     save_checkpoint(checkpoint, tmp_path / "ckpt")
     reloaded = load_checkpoint(tmp_path / "ckpt")
+    # every field a checkpoint holds: the parameters and the run's metadata
     checks["checkpoint_roundtrip_bit_exact"] = (
-        all(np.array_equal(reloaded.params[n], checkpoint.params[n]) for n in checkpoint.params)
-        and all(
-            np.array_equal(reloaded.optimizer[g][n], checkpoint.optimizer[g][n])
-            for g in ("m", "v") for n in checkpoint.optimizer[g]
-        )
-        and reloaded.optimizer["step"] == checkpoint.optimizer["step"]
+        list(reloaded.params) == list(checkpoint.params)
+        and all(np.array_equal(reloaded.params[n], checkpoint.params[n]) for n in checkpoint.params)
+        and reloaded.epoch == checkpoint.epoch
+        and reloaded.best_val_mae == checkpoint.best_val_mae
+        and reloaded.model_config == checkpoint.model_config
+        and reloaded.train_config == checkpoint.train_config
+        and reloaded.ablation == checkpoint.ablation
     )
 
     failed = [k for k, v in checks.items() if not v]

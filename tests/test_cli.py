@@ -157,6 +157,31 @@ def test_eval_rejects_manifest_dtype_other_than_f8(workdir, tmp_path, capsys, ta
     assert "declares dtype '<f4', expected '<f8'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["epoch", "best_val_mae", "model_config", "train_config", "ablation", "tensors"])
+def test_eval_checkpoint_manifest_without_key_fails_cleanly(workdir, tmp_path, capsys, key):
+    ckpt = _edited_copy(workdir["run"] / "checkpoint", tmp_path / "ckpt", lambda m: m.pop(key))
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(workdir["data"])])
+    assert code == 1
+    assert f"lacks '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["model_config", "train_config", "ablation"])
+def test_eval_checkpoint_config_with_unknown_key_fails_cleanly(workdir, tmp_path, capsys, key):
+    ckpt = _edited_copy(workdir["run"] / "checkpoint", tmp_path / "ckpt", lambda m: m[key].update(colour=1))
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(workdir["data"])])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{key}'" in err and "'colour'" in err
+
+
+@pytest.mark.parametrize("key", ["config", "splits"])
+def test_eval_dataset_manifest_without_key_fails_cleanly(workdir, tmp_path, capsys, key):
+    data = _edited_copy(workdir["data"], tmp_path / "data", lambda m: m.pop(key))
+    code = main(["eval", "--checkpoint", str(workdir["run"]), "--data", str(data)])
+    assert code == 1
+    assert f"lacks '{key}'" in capsys.readouterr().err
+
+
 def test_eval_checkpoint_without_parameter_fails_cleanly(workdir, tmp_path, capsys):
     ckpt = _edited_copy(workdir["run"] / "checkpoint", tmp_path / "ckpt", lambda m: m["tensors"].pop("param:head.W"))
     code = main(["eval", "--checkpoint", str(ckpt), "--data", str(workdir["data"])])

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import modalflow.data as data
 from modalflow.data import (
     Batch,
     Dataset,
@@ -13,6 +15,7 @@ from modalflow.data import (
     generate_dataset,
     load_dataset,
     save_dataset,
+    write_tensor,
 )
 
 SMALL = dict(n_train=80, n_val=20, n_test=20, seq_len=3, raw_dim_a=6, raw_dim_v=5, raw_dim_t=7, seed=3)
@@ -225,6 +228,47 @@ def test_load_rejects_unknown_format(small_data, tmp_path):
     manifest["format"] = "other-v9"
     mpath.write_text(json.dumps(manifest))
     with pytest.raises(DatasetError, match="format"):
+        load_dataset(tmp_path / "ds")
+
+
+def test_interrupted_resave_leaves_no_loadable_dataset(small_data, tmp_path, monkeypatch):
+    save_dataset(small_data, tmp_path / "ds")
+    shifted = {split: replace(ds, labels=ds.labels + 1.0) for split, ds in small_data.items()}
+    written = []
+
+    def failing_write(directory, fname, arr):
+        if len(written) == 10:
+            raise OSError("disk full")
+        written.append(fname)
+        return write_tensor(directory, fname, arr)
+
+    monkeypatch.setattr(data, "write_tensor", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_dataset(shifted, tmp_path / "ds")
+    assert len(written) == 10
+    with pytest.raises(DatasetError, match="no manifest.json"):
+        load_dataset(tmp_path / "ds")
+    with pytest.raises(DatasetError, match="no manifest.json"):
+        load_dataset(tmp_path / "ds", split="train")
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda m: m.pop("splits"), r"lacks 'splits'"),
+        (lambda m: m.pop("config"), r"lacks 'config'"),
+        (lambda m: m["config"].update(colour=1), r"'config': .*'colour'"),
+        (lambda m: m["splits"]["val"].pop("tensors"), r"split 'val' lacks 'tensors'"),
+    ],
+    ids=["splits", "config", "config_unknown_key", "split_tensors"],
+)
+def test_load_names_a_missing_or_unknown_manifest_key(small_data, tmp_path, edit, match):
+    save_dataset(small_data, tmp_path / "ds")
+    mpath = tmp_path / "ds" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    edit(manifest)
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(DatasetError, match=match):
         load_dataset(tmp_path / "ds")
 
 

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from modalflow.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     INIT_STD,
     AdamState,
     AffineLayer,
@@ -50,15 +53,13 @@ def test_store_rejects_duplicates_and_constants():
         store.register("c", Tensor(np.ones(2)))
 
 
-def test_store_snapshot_and_load_roundtrip():
+def test_store_snapshot_copies_values():
     store = ParamStore()
     store.register("w", gaussian_leaf(np.random.default_rng(3), (2, 2)))
     snap = store.snapshot()
-    store["w"].values = store["w"].values * 0.0
-    store.load_values(snap)
-    assert np.array_equal(store["w"].values, snap["w"])
-    with pytest.raises(ValueError, match="shape"):
-        store.load_values({"w": np.zeros(5)})
+    expected = store["w"].values.copy()
+    store["w"].values[:] = 0.0
+    assert np.array_equal(snap["w"], expected)
 
 
 def test_zeros_leaf_rejects_bad_shape():
@@ -144,38 +145,39 @@ def test_adam_rejects_non_finite_gradient_before_mutation():
     assert state.step == 0
 
 
-def test_adam_state_snapshot_roundtrip():
-    store = _single_param_store([0.0])
-    state = AdamState(lr=0.01)
-    adam_step(state, store, {"w": np.array([1.0])})
-    snap = state.snapshot()
-    adam_step(state, store, {"w": np.array([1.0])})
-    state.load(snap)
-    assert state.step == 1
-    assert np.array_equal(state.m["w"], snap["m"]["w"])
-
-
 def test_adam_rejects_wrong_shape_gradient_before_mutation():
     store = _single_param_store(np.zeros(4))
     state = AdamState()
     with pytest.raises(ValueError, match="'w'"):
         adam_step(state, store, {"w": np.array([1.0])})
     assert np.array_equal(store["w"].values, np.zeros(4))
-    assert state.step == 0 and not state.m
+    assert state.step == 0 and state.m is None
 
 
-def _reference_adam_step(state, params, grads):
-    """Per-parameter Adam loop, the form the flat update must reproduce bit for bit."""
-    state.step += 1
-    bc1 = 1.0 - state.beta1**state.step
-    bc2 = 1.0 - state.beta2**state.step
+def test_adam_rejects_state_of_another_store_before_mutation():
+    state = AdamState()
+    adam_step(state, _single_param_store(np.zeros(3)), {"w": np.ones(3)})
+    store = _single_param_store(np.zeros(4))
+    m = state.m.copy()
+    with pytest.raises(ValueError, match="moments for 3 values, the store has 4"):
+        adam_step(state, store, {"w": np.ones(4)})
+    assert np.array_equal(store["w"].values, np.zeros(4))
+    assert state.step == 1 and np.array_equal(state.m, m)
+
+
+def _reference_adam_step(lr, step, moments, params, grads):
+    """Per-parameter Adam loop with per-name moment dicts, the form the flat
+    update must reproduce bit for bit."""
+    bc1 = 1.0 - ADAM_BETA1**step
+    bc2 = 1.0 - ADAM_BETA2**step
+    m_all, v_all = moments
     for name, p in params.items():
         g = grads.get(name, np.zeros(p.shape))
-        m = state.m.get(name, np.zeros(p.shape))
-        v = state.v.get(name, np.zeros(p.shape))
-        state.m[name] = state.beta1 * m + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        update = state.lr * (state.m[name] / bc1) / (np.sqrt(state.v[name] / bc2) + state.eps)
+        m = m_all.get(name, np.zeros(p.shape))
+        v = v_all.get(name, np.zeros(p.shape))
+        m_all[name] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v_all[name] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+        update = lr * (m_all[name] / bc1) / (np.sqrt(v_all[name] / bc2) + ADAM_EPS)
         p.values = p.values - update
 
 
@@ -187,14 +189,17 @@ def test_adam_flat_update_matches_per_parameter_loop(rng):
         for name, shape in shapes.items():
             store.register(name, Tensor(np.random.default_rng(5).normal(size=shape), requires_grad=True))
         stores.append(store)
-    flat_state, ref_state = AdamState(lr=0.01), AdamState(lr=0.01)
-    for _ in range(5):
+    state, ref_moments = AdamState(lr=0.01), ({}, {})
+    for step in range(1, 6):
         grads = {name: rng.normal(size=shape) for name, shape in shapes.items() if name != "skipped"}
-        adam_step(flat_state, stores[0], grads)
-        _reference_adam_step(ref_state, stores[1], grads)
+        adam_step(state, stores[0], grads)
+        _reference_adam_step(0.01, step, ref_moments, stores[1], grads)
+    assert state.step == 5
     for name in shapes:
         assert np.array_equal(stores[0][name].values, stores[1][name].values), name
-        assert np.array_equal(flat_state.m[name], ref_state.m[name]), name
-        assert np.array_equal(flat_state.v[name], ref_state.v[name]), name
-        assert flat_state.m[name].shape == shapes[name]
+    # the flat moments are the per-name ones laid end to end in store order, "skipped"'s zeros included
+    for flat, ref in zip((state.m, state.v), ref_moments):
+        assert flat.shape == (sum(int(np.prod(shape)) for shape in shapes.values()),)
+        assert np.array_equal(flat, np.concatenate([ref[name].ravel() for name in shapes]))
+    assert not state.m[-4:].any() and not state.v[-4:].any()
     assert np.array_equal(stores[0]["skipped"].values, np.random.default_rng(5).normal(size=(2, 2)))

@@ -14,7 +14,7 @@ import pytest
 import modalflow.fusion as fusion
 import modalflow.training as training
 from builders import TINY_RAW_DIMS, tiny_model_config
-from modalflow.data import SynthConfig, batch_iter, generate_dataset
+from modalflow.data import SynthConfig, batch_iter, generate_dataset, write_tensor
 from modalflow.fusion import MODALITIES, ModelConfig, init_model
 from modalflow.losses import LossWeights
 from modalflow.nn import AdamState
@@ -672,7 +672,7 @@ def test_similarity_matrix_diagonal_zero_for_identical_flows():
         store[f"{tag}.W2"].values[:] = 0.0
         store[f"{tag}.b2"].values[:] = 0.0
     checkpoint = Checkpoint(
-        params=store.snapshot(), optimizer=AdamState().snapshot(), epoch=0,
+        params=store.snapshot(), epoch=0,
         best_val_mae=np.inf, model_config=MODEL,
         train_config=TrainConfig(epochs=1, patience=0, batch_size=16),
         ablation=AblationSpec(),
@@ -706,13 +706,53 @@ def test_checkpoint_roundtrip_bit_exact(fitted, tmp_path):
     assert loaded.epoch == checkpoint.epoch
     assert loaded.best_val_mae == checkpoint.best_val_mae
     assert loaded.model_config == checkpoint.model_config
+    assert loaded.train_config == checkpoint.train_config
     assert loaded.ablation == checkpoint.ablation
+    assert list(loaded.params) == list(checkpoint.params)
     for name in checkpoint.params:
         assert np.array_equal(loaded.params[name], checkpoint.params[name])
-    for group in ("m", "v"):
-        for name in checkpoint.optimizer[group]:
-            assert np.array_equal(loaded.optimizer[group][name], checkpoint.optimizer[group][name])
-    assert loaded.optimizer["step"] == checkpoint.optimizer["step"]
+
+
+def test_default_checkpoint_holds_only_the_model_parameters(tmp_path):
+    synth = SynthConfig()
+    raw_dims = {m: synth.raw_dim(m) for m in MODALITIES}
+    store = init_model(ModelConfig(), raw_dims, seed=0)
+    checkpoint = Checkpoint(
+        params=store.snapshot(), epoch=1, best_val_mae=0.5, model_config=ModelConfig(),
+        train_config=TrainConfig(), ablation=AblationSpec(),
+    )
+    save_checkpoint(checkpoint, tmp_path / "ckpt")
+    manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+    assert manifest["format"] == "modalflow-checkpoint-v3"
+    assert "optimizer_step" not in manifest
+    assert list(manifest["tensors"]) == [f"param:{name}" for name in store]
+    assert len(manifest["tensors"]) == 47
+    assert sum(int(np.prod(e["shape"])) for e in manifest["tensors"].values()) == 19_591
+    assert len(list((tmp_path / "ckpt").iterdir())) == 47 + 1  # the .bin files and the manifest
+
+
+def test_interrupted_resave_leaves_no_loadable_checkpoint(fitted, tmp_path, monkeypatch):
+    checkpoint, _ = fitted
+    save_checkpoint(checkpoint, tmp_path / "ckpt")
+    other = replace(checkpoint, params={name: arr + 1.0 for name, arr in checkpoint.params.items()})
+    written = []
+
+    def failing_write(directory, fname, arr):
+        if len(written) == 10:
+            raise OSError("disk full")
+        written.append(fname)
+        return write_tensor(directory, fname, arr)
+
+    monkeypatch.setattr(training, "write_tensor", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(other, tmp_path / "ckpt")
+    with pytest.raises(FileNotFoundError):
+        load_checkpoint(tmp_path / "ckpt")
+    monkeypatch.undo()
+    save_checkpoint(other, tmp_path / "ckpt")
+    loaded = load_checkpoint(tmp_path / "ckpt")
+    assert all(np.array_equal(loaded.params[n], other.params[n]) for n in other.params)
+    assert sorted(p.name for p in (tmp_path / "ckpt").iterdir() if p.suffix != ".bin") == ["manifest.json"]
 
 
 def test_load_checkpoint_accepts_run_directory(tiny_data, tiny_train_config, tmp_path):
@@ -733,9 +773,11 @@ def test_load_checkpoint_missing(tmp_path):
         ("truncated_file", r"tensor 'param:head\.W' file holds"),
         ("declared_bytes", r"tensor 'param:head\.W' manifest shape"),
         ("unknown_group", r"'foo:head\.W'"),
+        ("adam_group", r"'adam_m:head\.W'"),
         ("v1_manifest", r"format 'modalflow-checkpoint-v1'"),
+        ("v2_manifest", r"format 'modalflow-checkpoint-v2'"),
     ],
-    ids=["truncated_file", "declared_bytes", "unknown_group", "v1_manifest"],
+    ids=["truncated_file", "declared_bytes", "unknown_group", "adam_group", "v1_manifest", "v2_manifest"],
 )
 def test_load_checkpoint_rejects_corruption(fitted, tmp_path, kind, match):
     save_checkpoint(fitted[0], tmp_path / "ckpt")
@@ -749,6 +791,11 @@ def test_load_checkpoint_rejects_corruption(fitted, tmp_path, kind, match):
         entry["bytes"] += 8
     elif kind == "unknown_group":
         manifest["tensors"]["foo:head.W"] = manifest["tensors"].pop("param:head.W")
+    elif kind == "adam_group":  # the v2 moment groups are no longer read
+        manifest["tensors"]["adam_m:head.W"] = dict(entry)
+    elif kind == "v2_manifest":  # a v3 manifest dressed as v2: still refused, there is no v2 reader
+        manifest["format"] = "modalflow-checkpoint-v2"
+        manifest["optimizer_step"] = 1
     else:  # a manifest written before the model's shape settings were dropped
         manifest["format"] = "modalflow-checkpoint-v1"
         manifest["model_config"].update(seq_len=2, raw_dim_a=3, raw_dim_v=2, raw_dim_t=4)
