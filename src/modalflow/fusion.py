@@ -8,14 +8,21 @@ attends over each modality sequence again; a second gathering MLP fuses the
 three results per row, the 7 rows are averaged into the final representation,
 and an affine head regresses the valence.
 
+Each block is one graph node: a cross-attention call is one
+`tensor.cross_attention`, the multi-view queries and the stage-2 pooling are
+each one `tensor.subset_sum`, and each imagination rewrite is one
+`tensor.imagine` (see `imagination.mia_forward`).
+
 All forward functions accept an optional leading batch axis: per-sample
 shapes are [q, D]/[S, D], batched shapes [B, q, D]/[B, S, D]. In
 `umca_forward`, audio and vision may carry n batch rows against F·n text rows
 (F flows stacked on the batch axis that share one audio and vision input):
 their projection, stage-1 attention and stage-2 keys and values then run once
-over n rows. The stage-1 outputs are repeated F times where they meet text;
-in stage 2, `tensor.attend` views the F·n query rows as [F, n, 7, D], so that
-the shared keys and values broadcast over the flow axis.
+over n rows. Stage-1 imagination reads the n audio and vision rows as the
+context of the gated text rows, and the stage-1 outputs are repeated F times
+where they next meet text; in stage 2, `tensor.cross_attention` views the F·n
+query rows as [F, n, 7, D], so that the shared keys and values broadcast over
+the flow axis.
 """
 
 from __future__ import annotations
@@ -27,12 +34,13 @@ import numpy as np
 
 from .imagination import MIAParams, mia_forward
 from .nn import AffineLayer, ParamStore, gaussian_leaf, init_affine, zeros_leaf
-from .tensor import Tensor, attend, concat, softmax
+from .tensor import Tensor, concat, cross_attention, softmax, subset_sum
 
 MODALITIES = ("a", "v", "t")  # audio, vision, text; order fixed
 
 # Multi-view query rows, in fixed order.
 SUBSETS = (("a",), ("v",), ("t",), ("a", "v"), ("a", "t"), ("v", "t"), ("a", "v", "t"))
+_SUBSET_INDICES = tuple(tuple(MODALITIES.index(m) for m in subset) for subset in SUBSETS)
 
 
 @dataclass
@@ -141,14 +149,14 @@ def project_modality(raw, m, umca):
 
 
 def cross_attend(Q, E, maps, tau):
-    """R = softmax(Q K^T / tau) V with K = tanh(affine(V)), V = affine(E).
+    """R = softmax(Q K^T / tau) V with K = tanh(affine(V)), V = affine(E), as
+    one `tensor.cross_attention` node.
 
     K and V are computed over E's rows. A batched Q may carry F times E's
-    batch rows (F flows sharing E); `tensor.attend` then broadcasts K and V
-    over the flow axis, and R comes back as [F·n, q, D].
+    batch rows (F flows sharing E); K and V then broadcast over the flow
+    axis, and R comes back as [F·n, q, D].
     """
-    V = maps.value(E)
-    return attend(Q, maps.key(V).tanh(), V, tau)
+    return cross_attention(Q, E, maps.value.W, maps.value.b, maps.key.W, maps.key.b, tau)
 
 
 def afg_weights(R_a, R_v, R_t, afg):
@@ -163,29 +171,17 @@ def multiview_queries(R, w):
     """Seven weighted-sum query rows over modality subsets.
 
     R[m] is [..., 1, D]; w is [..., 1, 3] ordered (a, v, t). Subset rows use
-    the retained modalities' weights unchanged (no renormalization).
+    the retained modalities' weights unchanged (no renormalization). One
+    `tensor.subset_sum` node.
     """
-    weighted = {
-        m: w.narrow(-1, i, i + 1) * R[m]  # [..., 1, 1] * [..., 1, D]
-        for i, m in enumerate(MODALITIES)
-    }
-    rows = []
-    for subset in SUBSETS:
-        row = weighted[subset[0]]
-        for m in subset[1:]:
-            row = row + weighted[m]
-        rows.append(row)
-    return concat(rows, axis=-2)
+    return subset_sum(w, [R[m] for m in MODALITIES], _SUBSET_INDICES)
 
 
 def _pool_seq(R_seq, afg2):
-    """Per-row fusion weights, modality-weighted sum, then mean over rows."""
+    """Per-row fusion weights, then the modality-weighted sum and its mean over
+    rows as one `tensor.subset_sum` node."""
     w = afg_weights(R_seq["a"], R_seq["v"], R_seq["t"], afg2)  # [..., 7, 3]
-    fused = None
-    for i, m in enumerate(MODALITIES):
-        term = w.narrow(-1, i, i + 1) * R_seq[m]
-        fused = term if fused is None else fused + term
-    return fused.mean(axis=-2)
+    return subset_sum(w, [R_seq[m] for m in MODALITIES], (_SUBSET_INDICES[-1],), mean=True)
 
 
 def stage2_fuse(q_multv, E, umca, mia=None, gate_from=0):
@@ -197,7 +193,7 @@ def stage2_fuse(q_multv, E, umca, mia=None, gate_from=0):
     """
     R_seq = {m: cross_attend(q_multv, E[m], umca.stage2[m], umca.tau) for m in MODALITIES}
     if mia is not None:
-        R_seq["t"] = _imagine(R_seq["v"], R_seq["a"], R_seq["t"], mia, gate_from)
+        R_seq["t"] = mia_forward(R_seq["v"], R_seq["a"], R_seq["t"], mia, gate_from)
     r = _pool_seq(R_seq, umca.afg2)
     return R_seq, r
 
@@ -206,15 +202,6 @@ def regress(r, head):
     """Affine valence head; output is unbounded (no clamping to the label range)."""
     out = head(r)  # [..., 1]
     return out.reshape(r.shape[:-1])
-
-
-def _imagine(R_v, R_a, R_t, mia, gate_from):
-    """MIA rewrite of the text rows [gate_from:] of a batch; rows before pass through."""
-    if gate_from == 0:
-        return mia_forward(R_v, R_a, R_t, mia)
-    rows = R_t.shape[0]
-    gated = [x.narrow(0, gate_from, rows) for x in (R_v, R_a, R_t)]
-    return concat([R_t.narrow(0, 0, gate_from), mia_forward(*gated, mia)], axis=0)
 
 
 def umca_forward(E, umca, mia=None, gate_from=0):
@@ -226,15 +213,16 @@ def umca_forward(E, umca, mia=None, gate_from=0):
     batch rows [gate_from:], so one call can run both flows stacked on the
     batch axis (complete rows first); 0 gates every row. Those flows share
     one audio and vision input: E["a"] and E["v"] may carry n batch rows
-    against E["t"]'s F·n, and F is read from those row counts.
+    against E["t"]'s F·n, and F is read from those row counts; the gate then
+    covers the last flow's rows, gate_from = (F - 1)·n.
     """
     mia1, mia2 = mia if mia is not None else (None, None)
     flows = E["t"].shape[0] // E["a"].shape[0] if E["t"].ndim == 3 else 1
     R = {m: cross_attend(umca.query[m], E[m], umca.stage1[m], umca.tau) for m in MODALITIES}
+    if mia1 is not None:  # the n audio/vision rows are the gated rows' context
+        R["t"] = mia_forward(R["v"], R["a"], R["t"], mia1, gate_from)
     if flows > 1:  # the stage-1 audio/vision outputs meet text from here on
         R["a"], R["v"] = (concat([R[m]] * flows, axis=0) for m in ("a", "v"))
-    if mia1 is not None:
-        R["t"] = _imagine(R["v"], R["a"], R["t"], mia1, gate_from)
     w1 = afg_weights(R["a"], R["v"], R["t"], umca.afg1)
     q_multv = multiview_queries(R, w1)
     R_seq, r = stage2_fuse(q_multv, E, umca, mia2, gate_from)

@@ -3,13 +3,14 @@
 Active only on the text-missing flow. Two independent instances exist: one
 rewriting the stage-1 text representation (rows S'=1) and one rewriting the
 stage-2 per-combination sequence (rows S'=7). Weights are shared across rows.
+Each rewrite, with its row gate, is one `tensor.imagine` graph node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tensor import Tensor, affine, concat
+from .tensor import Tensor, imagine
 
 
 @dataclass
@@ -32,18 +33,15 @@ class MIAParams:
         return self.W2.shape[1]
 
 
-def mia_forward(R_v, R_a, R_t_hat, params):
-    """Row-wise residual reconstruction of the simulated text representation.
+def mia_forward(R_v, R_a, R_t_hat, params, gate_from=0):
+    """Row-wise residual reconstruction of the simulated text rows [gate_from:].
 
-    H = tanh(cat(R_v, R_a, R_t_hat) @ W1 + b1); out = R_t_hat + tanh(H @ W2 + b2).
-    The residual is tanh-bounded, so |out - R_t_hat| <= 1 elementwise.
+    H = tanh(cat(R_v, R_a, R_t_hat) @ W1 + b1); out = R_t_hat + tanh(H @ W2 + b2)
+    on those rows; the rows before gate_from pass through. The residual is
+    tanh-bounded, so |out - R_t_hat| <= 1 elementwise. R_v and R_a hold either
+    R_t_hat's rows or only the gated ones (audio and vision shared by the
+    flows stacked in R_t_hat).
     """
-    if R_v.shape != R_a.shape or R_v.shape != R_t_hat.shape:
-        raise ValueError(
-            f"mia: inputs must share shape, got {R_v.shape}, {R_a.shape}, {R_t_hat.shape}"
-        )
     if R_t_hat.shape[-1] != params.dim:
         raise ValueError(f"mia: last dim {R_t_hat.shape[-1]} != parameter dim {params.dim}")
-    h = affine(concat([R_v, R_a, R_t_hat], axis=-1), params.W1, params.b1).tanh()
-    residual = affine(h, params.W2, params.b2).tanh()
-    return R_t_hat + residual
+    return imagine(R_v, R_a, R_t_hat, params.W1, params.b1, params.W2, params.b2, gate_from)

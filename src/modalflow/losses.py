@@ -1,10 +1,12 @@
 """The four training losses and an independent brute-force rank-contrast oracle.
 
-- task: MSE between labels and predictions.
+- task: MSE between labels and predictions, one `tensor.mse` node.
 - mkd (x2): RMSE between a detached teacher representation and the student's
   reconstructed one; gradients reach only the student's ancestry.
 - rs: same RMSE form with no detach, pulling both flows' final
   representations together.
+  Both take the two flows stacked on the leading axis, teacher (complete
+  flow) rows first, and are one `tensor.rmse_halves` node each.
 - rnc: rank contrast over the 2N concatenated final representations of both
   flows, ordering representation distances by label distances. It is one
   graph node, `tensor.rank_contrast`, with the label distances as sort keys:
@@ -12,6 +14,8 @@
   sums and the loss costs O(N^2 log N) time and O(N^2) memory plus one block
   of pairwise differences; the oracle builds every candidate set explicitly,
   in O(N^3).
+
+The weighted total is one `tensor.weighted_sum` node.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, rank_contrast
+from .tensor import Tensor, mse, rank_contrast, rmse_halves, weighted_sum
 
 
 @dataclass
@@ -61,29 +65,24 @@ def task_loss(y, y_hat):
         raise ValueError(f"task_loss: label shape {y.shape} != prediction shape {y_hat.shape}")
     if y.size == 0:
         raise ValueError("task_loss: empty batch")
-    return (y - y_hat).square().mean()
+    return mse(y, y_hat)
 
 
-def _rmse(a, b, detach_first):
-    if a.shape != b.shape:
-        raise ValueError(f"rmse: shapes differ, {a.shape} vs {b.shape}")
-    first = a.detach() if detach_first else a
-    diff = first - b
-    return (diff.square().sum() * (1.0 / diff.size)).sqrt()
+def mkd_loss(R):
+    """Distillation RMSE between the halves of R, the real (teacher)
+    representation's rows over the simulated (student) one's; the teacher
+    half is detached.
 
-
-def mkd_loss(R_real, R_sim):
-    """Distillation RMSE; the real (teacher) representation is detached.
-
-    N is the total element count of the representation tensor, batch included,
-    so the loss is scale-free in batch size.
+    N is the total element count of one half, batch included, so the loss is
+    scale-free in batch size.
     """
-    return _rmse(R_real, R_sim, detach_first=True)
+    return rmse_halves(R, detach_first=True)
 
 
-def rs_loss(r, r_hat):
-    """Final-representation alignment RMSE; gradients flow to both flows."""
-    return _rmse(r, r_hat, detach_first=False)
+def rs_loss(r):
+    """Final-representation alignment RMSE between the halves of r (complete
+    flow rows, then missing flow rows); gradients flow to both flows."""
+    return rmse_halves(r)
 
 
 def rnc_loss(reps, labels, tau_rnc):
@@ -151,12 +150,14 @@ def rnc_oracle(reps, labels, tau_rnc):
 
 
 def total_loss(task, weights, mkd1=None, mkd2=None, rs=None, rnc=None):
-    """Weighted sum; ablated terms pass None and contribute exactly zero."""
-    total = task
+    """Weighted sum, the task term at weight 1; ablated terms pass None and
+    contribute exactly zero."""
+    terms, ws = [task], [1.0]
     for term, w in ((mkd1, weights.alpha), (mkd2, weights.beta), (rs, weights.gamma), (rnc, weights.delta)):
         if term is not None:
-            total = total + term * w
-    return total
+            terms.append(term)
+            ws.append(w)
+    return weighted_sum(terms, ws)
 
 
 def make_report(total, task, mkd1=None, mkd2=None, rs=None, rnc=None):

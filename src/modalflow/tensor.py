@@ -190,26 +190,39 @@ def scale(a, factor):
     return _result("scale", a.values * factor, (a,), bwd)
 
 
+def _affine_values(xv, Wv, bv):
+    # per-sample np.matmul: a folded-row GEMM differed bitwise at 15 of 168 shapes, breaking train/eval per-half identity
+    out = np.matmul(xv, Wv)
+    out += bv  # in place: the same sum as matmul + b, without a second [..., out] array
+    return out
+
+
+def _affine_grads(g, xv, Wv, need_x, need_W):
+    """Gradients of x, W and b from the gradient g of x @ W + b."""
+    # W is shared by every leading row of x, so both gradients are one GEMM
+    # over the folded rows; a GEMM against a contiguous copy of W^T measured
+    # faster than against the view
+    rows = g.reshape(-1, g.shape[-1])
+    gx = (rows @ np.ascontiguousarray(Wv.T)).reshape(xv.shape) if need_x else None
+    gW = xv.reshape(-1, xv.shape[-1]).T @ rows if need_W else None
+    return gx, gW, _unbroadcast(g, Wv.shape[1:])
+
+
+def _check_affine(op, x_shape, W, b):
+    if not x_shape or W.ndim != 2 or x_shape[-1] != W.shape[0] or b.shape != (W.shape[1],):
+        raise ShapeError(f"{op}: need [..., in] @ [in, out] + [out], got {x_shape}, {W.shape}, {b.shape}")
+
+
 def affine(x, W, b):
     """x @ W + b on the last axis of x; W is [in, out], b is [out]."""
     x, W, b = _lift(x), _lift(W), _lift(b)
-    if x.ndim < 1 or W.ndim != 2 or x.shape[-1] != W.shape[0] or b.shape != (W.shape[1],):
-        raise ShapeError(f"affine: need [..., in] @ [in, out] + [out], got {x.shape}, {W.shape}, {b.shape}")
+    _check_affine("affine", x.shape, W, b)
     xv, Wv = x.values, W.values
 
     def bwd(g):
-        # W is shared by every leading row of x, so both gradients are one GEMM
-        # over the folded rows; a GEMM against a contiguous copy of W^T measured
-        # faster than against the view
-        rows = g.reshape(-1, g.shape[-1])
-        gx = (rows @ np.ascontiguousarray(Wv.T)).reshape(x.shape) if x.attached else None
-        gW = xv.reshape(-1, xv.shape[-1]).T @ rows if W.attached else None
-        return gx, gW, _unbroadcast(g, b.shape)
+        return _affine_grads(g, xv, Wv, x.attached, W.attached)
 
-    # per-sample np.matmul: a folded-row GEMM differed bitwise at 15 of 168 shapes, breaking train/eval per-half identity
-    out = np.matmul(xv, Wv)
-    out += b.values  # in place: the same sum as matmul + b, without a second [..., out] array
-    return _result("affine", out, (x, W, b), bwd)
+    return _result("affine", _affine_values(xv, Wv, b.values), (x, W, b), bwd)
 
 
 def reshape(a, shape):
@@ -321,6 +334,55 @@ def softmax(a):
     return _result("softmax", y, (a,), bwd)
 
 
+def _check_tau(op, tau):
+    tau = float(tau)
+    if not tau > 0.0:
+        raise DomainError(f"{op}: temperature must be positive, got {tau}")
+    return tau
+
+
+def _query_view(op, Q, k_shape, v_shape):
+    """Q's values as attention reads them against keys and values of the given
+    shapes: [F, n, q, D] when Q and K are 3-D and Q has F times K's batch rows."""
+    if min(Q.ndim, len(k_shape), len(v_shape)) < 2 or Q.shape[-1] != k_shape[-1] or k_shape[-2] != v_shape[-2]:
+        raise ShapeError(f"{op}: need [..., q, D], [..., S, D], [..., S, Dv], got {Q.shape}, {k_shape}, {v_shape}")
+    qv = Q.values
+    rows = Q.shape[0]
+    if Q.ndim == len(k_shape) == 3 and rows != k_shape[0]:
+        if rows % k_shape[0]:
+            raise ShapeError(f"{op}: {rows} query rows are not a multiple of {k_shape[0]} key rows")
+        qv = qv.reshape((rows // k_shape[0], k_shape[0]) + Q.shape[1:])
+    try:
+        np.broadcast_shapes(qv.shape[:-2], k_shape[:-2], v_shape[:-2])
+    except ValueError:
+        raise ShapeError(f"{op}: batch dims of {Q.shape}, {k_shape}, {v_shape} do not broadcast") from None
+    return qv
+
+
+def _unview(out, Q, qv):
+    """An attention output on Q's rows: [F, n, q, Dv] -> [F·n, q, Dv] when
+    `_query_view` added the flow axis."""
+    return out.reshape(Q.shape[:1] + out.shape[2:]) if qv.ndim > Q.ndim else out
+
+
+def _attention_values(qv, kv, vv, tau):
+    """(softmax(q k^T / tau) v, the softmax weights)."""
+    y = _softmax_rows(np.matmul(qv, np.swapaxes(kv, -1, -2)) / tau)
+    return np.matmul(y, vv), y
+
+
+def _attention_grads(g, qv, kv, vv, y, tau, need_q, need_k, need_v):
+    """Gradients of q, k and v from the gradient g of the attention output."""
+    # stage by stage, with the numpy calls and order of separate view,
+    # product, softmax and product nodes, so the gradients keep their bits
+    kt = np.swapaxes(kv, -1, -2)
+    gv = _unbroadcast(np.matmul(np.swapaxes(y, -1, -2), g), vv.shape) if need_v else None
+    gz = _softmax_rows_grad(np.matmul(g, np.swapaxes(vv, -1, -2)), y) / tau
+    gq = _unbroadcast(np.matmul(gz, np.swapaxes(kt, -1, -2)), qv.shape) if need_q else None
+    gk = np.swapaxes(_unbroadcast(np.matmul(np.swapaxes(qv, -1, -2), gz), kt.shape), -1, -2) if need_k else None
+    return gq, gk, gv
+
+
 def attend(Q, K, V, tau):
     """Scaled dot-product attention softmax(Q K^T / tau) V as one node.
 
@@ -330,37 +392,16 @@ def attend(Q, K, V, tau):
     broadcast over the flow axis, and the result comes back as [F·n, q, Dv].
     """
     Q, K, V = _lift(Q), _lift(K), _lift(V)
-    tau = float(tau)
-    if not tau > 0.0:
-        raise DomainError(f"attend: temperature must be positive, got {tau}")
-    if min(Q.ndim, K.ndim, V.ndim) < 2 or Q.shape[-1] != K.shape[-1] or K.shape[-2] != V.shape[-2]:
-        raise ShapeError(f"attend: need [..., q, D], [..., S, D], [..., S, Dv], got {Q.shape}, {K.shape}, {V.shape}")
-    qv = Q.values
-    rows = Q.shape[0]
-    shared = Q.ndim == K.ndim == 3 and rows != K.shape[0]
-    if shared:
-        if rows % K.shape[0]:
-            raise ShapeError(f"attend: {rows} query rows are not a multiple of {K.shape[0]} key rows")
-        qv = qv.reshape((rows // K.shape[0], K.shape[0]) + Q.shape[1:])
-    try:
-        np.broadcast_shapes(qv.shape[:-2], K.shape[:-2], V.shape[:-2])
-    except ValueError:
-        raise ShapeError(f"attend: batch dims of {Q.shape}, {K.shape}, {V.shape} do not broadcast") from None
-    kt, vv = np.swapaxes(K.values, -1, -2), V.values
-    y = _softmax_rows(np.matmul(qv, kt) / tau)
-    out = np.matmul(y, vv)
+    tau = _check_tau("attend", tau)
+    qv = _query_view("attend", Q, K.shape, V.shape)
+    kv, vv = K.values, V.values
+    out, y = _attention_values(qv, kv, vv, tau)
 
     def bwd(g):
-        # stage by stage, with the numpy calls and order of separate view,
-        # product, softmax and product nodes, so the gradients keep their bits
-        g = g.reshape(out.shape)
-        gV = _unbroadcast(np.matmul(np.swapaxes(y, -1, -2), g), V.shape) if V.attached else None
-        gz = _softmax_rows_grad(np.matmul(g, np.swapaxes(vv, -1, -2)), y) / tau
-        gQ = _unbroadcast(np.matmul(gz, np.swapaxes(kt, -1, -2)), qv.shape).reshape(Q.shape) if Q.attached else None
-        gK = np.swapaxes(_unbroadcast(np.matmul(np.swapaxes(qv, -1, -2), gz), kt.shape), -1, -2) if K.attached else None
-        return gQ, gK, gV
+        gq, gk, gv = _attention_grads(g.reshape(out.shape), qv, kv, vv, y, tau, Q.attached, K.attached, V.attached)
+        return (None if gq is None else gq.reshape(Q.shape)), gk, gv
 
-    return _result("attend", out.reshape((rows,) + out.shape[2:]) if shared else out, (Q, K, V), bwd)
+    return _result("attend", _unview(out, Q, qv), (Q, K, V), bwd)
 
 
 _RNC_BLOCK = 8  # anchor rows per block of rank_contrast's pairwise differences
@@ -472,6 +513,217 @@ def _normalize_axes(a, axis):
     if isinstance(axis, int):
         axis = (axis,)
     return tuple(int(ax) % a.ndim for ax in axis)
+
+
+# -- fused blocks -----------------------------------------------------------------
+#
+# Each op below is one graph node for a block of the model that would otherwise
+# be a chain of the primitives above. Its forward makes the numpy calls of that
+# chain in the same order, so its output keeps their bits, and its backward
+# replays their backward steps in reverse; only where the chain's gradients
+# fanned in across nodes can the sum order, and so the rounding, differ.
+
+
+def cross_attention(Q, E, Wv, bv, Wk, bk, tau):
+    """softmax(Q K^T / tau) V with V = E @ Wv + bv and K = tanh(V @ Wk + bk).
+
+    The chain affine, affine, tanh, `attend` as one node; Q meets K and V as
+    in `attend`, so a 3-D Q may carry F times E's batch rows.
+    """
+    Q, E, Wv, bv, Wk, bk = (_lift(t) for t in (Q, E, Wv, bv, Wk, bk))
+    _check_affine("cross_attention", E.shape, Wv, bv)
+    _check_affine("cross_attention", bv.shape, Wk, bk)
+    tau = _check_tau("cross_attention", tau)
+    ev, Wvv, Wkv = E.values, Wv.values, Wk.values
+    vv = _affine_values(ev, Wvv, bv.values)
+    kv = np.tanh(_affine_values(vv, Wkv, bk.values))
+    qv = _query_view("cross_attention", Q, kv.shape, vv.shape)
+    out, y = _attention_values(qv, kv, vv, tau)
+    need_kv = any(t.attached for t in (E, Wv, bv, Wk, bk))
+
+    def bwd(g):
+        gq, gk, gv = _attention_grads(g.reshape(out.shape), qv, kv, vv, y, tau, Q.attached, need_kv, need_kv)
+        gq = None if gq is None else gq.reshape(Q.shape)
+        if not need_kv:
+            return gq, None, None, None, None, None
+        gv_key, gWk, gbk = _affine_grads(gk * (1.0 - kv * kv), vv, Wkv, True, Wk.attached)
+        gE, gWv, gbv = _affine_grads(gv + gv_key, ev, Wvv, E.attached, Wv.attached)
+        return gq, gE, gWv, gbv, gWk, gbk
+
+    return _result("cross_attention", _unview(out, Q, qv), (Q, E, Wv, bv, Wk, bk), bwd)
+
+
+def subset_sum(w, R, subsets, mean=False):
+    """Weighted sums over subsets of the tensors R, on rows of axis -2.
+
+    w is [..., q, M] and each R[i] is [..., q, D]. Subset s gives the rows
+    sum of w[..., i:i+1] * R[i] over i in s, added in s's order; the subsets'
+    rows are concatenated on axis -2, or, with `mean`, averaged over it. The
+    chain of `narrow`, `mul`, `add` and `concat` (or `mean`) nodes as one node.
+    """
+    w = _lift(w)
+    R = [_lift(t) for t in R]
+    if w.ndim < 2 or w.shape[-1] != len(R) or any(t.shape[:-1] != w.shape[:-1] for t in R):
+        raise ShapeError(f"subset_sum: need w [..., q, {len(R)}] and R [..., q, D], got {w.shape}, {[t.shape for t in R]}")
+    if not subsets or any(not s or not all(0 <= i < len(R) for i in s) for s in subsets):
+        raise ShapeError(f"subset_sum: subsets {subsets} must be non-empty index tuples below {len(R)}")
+    wv = w.values
+    terms = [wv[..., i : i + 1] * t.values for i, t in enumerate(R)]
+    rows = []
+    for s in subsets:
+        row = terms[s[0]]
+        for i in s[1:]:
+            row = row + terms[i]
+        rows.append(row)
+    out = rows[0] if len(rows) == 1 else np.concatenate(rows, axis=-2)
+    pre_shape = out.shape
+    if mean:
+        factor = 1.0 / pre_shape[-2]
+        out = out.sum(axis=out.ndim - 2) * factor
+
+    def bwd(g):
+        if mean:
+            g = np.broadcast_to(np.expand_dims(g * factor, -2), pre_shape)
+        pieces = np.split(g, len(subsets), axis=-2)
+        g_terms = [None] * len(R)
+        for s, piece in zip(subsets, pieces):
+            for i in s:
+                g_terms[i] = piece if g_terms[i] is None else g_terms[i] + piece
+        gw = np.zeros(w.shape)
+        gR = []
+        for i, (t, gt) in enumerate(zip(R, g_terms)):
+            if gt is None:
+                gR.append(None)
+                continue
+            gw[..., i : i + 1] = (gt * t.values).sum(axis=-1, keepdims=True)
+            gR.append(gt * wv[..., i : i + 1])
+        return (gw, *gR)
+
+    return _result("subset_sum", out, (w, *R), bwd)
+
+
+def imagine(R_v, R_a, R_t, W1, b1, W2, b2, gate_from=0):
+    """R_t with its rows [gate_from:] rewritten by a residual autoencoder.
+
+    A rewritten row is x + tanh(tanh(cat(v, a, x) @ W1 + b1) @ W2 + b2) for
+    the row x of R_t and its context rows v of R_v and a of R_a; rows before
+    gate_from pass through. R_v and R_a hold either R_t's rows or only the
+    rewritten ones. The chain of `narrow`, `concat`, affine, tanh, affine,
+    tanh, `add` and `concat` nodes as one node.
+    """
+    R_v, R_a, R_t, W1, b1, W2, b2 = (_lift(t) for t in (R_v, R_a, R_t, W1, b1, W2, b2))
+    rows = R_t.shape[0] if R_t.ndim else 0
+    gate_from = int(gate_from)
+    if not 0 <= gate_from < rows:
+        raise ShapeError(f"imagine: gate_from {gate_from} out of range for {rows} rows")
+    for c in (R_v, R_a):
+        if c.shape[1:] != R_t.shape[1:] or c.shape[0] not in (rows, rows - gate_from):
+            raise ShapeError(
+                f"imagine: context {c.shape} and text {R_t.shape} must share shape, "
+                f"or the context hold only the rows from {gate_from}"
+            )
+    d = R_t.shape[-1]
+    _check_affine("imagine", (3 * d,), W1, b1)
+    _check_affine("imagine", b1.shape, W2, b2)
+    if W2.shape[1] != d:
+        raise ShapeError(f"imagine: W2 {W2.shape} does not map back to {d}")
+    tv = R_t.values
+    gated = tv[gate_from:]
+    ctx = [c.values[gate_from:] if c.shape[0] == rows else c.values for c in (R_v, R_a)]
+    x = np.concatenate(ctx + [gated], axis=-1)
+    W1v, W2v = W1.values, W2.values
+    h = np.tanh(_affine_values(x, W1v, b1.values))
+    res = np.tanh(_affine_values(h, W2v, b2.values))
+    new = gated + res
+    out = np.concatenate([tv[:gate_from], new], axis=0) if gate_from else new
+
+    def bwd(g):
+        g_new = g[gate_from:]
+        gh, gW2, gb2 = _affine_grads(g_new * (1.0 - res * res), h, W2v, True, W2.attached)
+        gx, gW1, gb1 = _affine_grads(gh * (1.0 - h * h), x, W1v, True, W1.attached)
+        g_ctx_v, g_ctx_a, g_x = np.split(gx, [d, 2 * d], axis=-1)
+        gR_t = np.empty(R_t.shape)
+        gR_t[:gate_from] = g[:gate_from]
+        gR_t[gate_from:] = g_new + g_x
+        g_ctx = []
+        for c, gc in zip((R_v, R_a), (g_ctx_v, g_ctx_a)):
+            if c.shape[0] == rows and gate_from:
+                full = np.zeros(c.shape)
+                full[gate_from:] = gc
+                gc = full
+            g_ctx.append(gc)
+        return (*g_ctx, gR_t, gW1, gb1, gW2, gb2)
+
+    return _result("imagine", out, (R_v, R_a, R_t, W1, b1, W2, b2), bwd)
+
+
+def _mean_square(diff):
+    """(mean of diff**2, its backward from the gradient of the mean to diff's)."""
+    factor = 1.0 / diff.size
+
+    def grad(g):
+        return np.broadcast_to(g * factor, diff.shape) * (2.0 * diff)
+
+    return (diff * diff).sum() * factor, grad
+
+
+def mse(y, y_hat):
+    """Mean of (y - y_hat)**2 over all entries: the chain `sub`, `square`,
+    `mean` as one node."""
+    y, y_hat = _lift(y), _lift(y_hat)
+    if y.shape != y_hat.shape or y.size == 0:
+        raise ShapeError(f"mse: need two equal non-empty shapes, got {y.shape} and {y_hat.shape}")
+    value, grad = _mean_square(y.values - y_hat.values)
+
+    def bwd(g):
+        gd = grad(g)
+        return gd, -gd
+
+    return _result("mse", value, (y, y_hat), bwd)
+
+
+def rmse_halves(x, detach_first=False):
+    """sqrt(mean((a - b)**2)) between the halves a = x[:n] and b = x[n:] of
+    x's 2n leading rows: the chain `narrow` x2, `sub`, `square`, `sum`,
+    `scale`, `sqrt` as one node. With `detach_first` no gradient reaches a,
+    as if it were detached. The gradient at a distance of 0 is 0, as in `sqrt`.
+    """
+    x = _lift(x)
+    if x.ndim < 1 or x.shape[0] < 2 or x.shape[0] % 2:
+        raise ShapeError(f"rmse_halves: need an even number of at least 2 leading rows, got {x.shape}")
+    n = x.shape[0] // 2
+    xv = x.values
+    mean, grad = _mean_square(xv[:n] - xv[n:])
+    y = np.sqrt(mean)
+
+    def bwd(g):
+        gd = grad(g * (0.5 / np.maximum(y, 1e-100)))
+        gx = np.zeros(x.shape)
+        if not detach_first:
+            gx[:n] = gd
+        gx[n:] = -gd
+        return (gx,)
+
+    return _result("rmse_halves", y, (x,), bwd)
+
+
+def weighted_sum(terms, weights):
+    """terms[0] * weights[0] + terms[1] * weights[1] + ... in that order, over
+    same-shape tensors: the chain of `scale` and `add` nodes as one node. A
+    weight of 1.0 keeps its term's bits."""
+    terms = [_lift(t) for t in terms]
+    weights = [float(w) for w in weights]
+    if not terms or len(weights) != len(terms) or any(t.shape != terms[0].shape for t in terms):
+        raise ShapeError(f"weighted_sum: need one weight per same-shape term, got {[t.shape for t in terms]} and {len(weights)} weights")
+    out = None
+    for t, w in zip(terms, weights):
+        term = t.values * w
+        out = term if out is None else out + term
+
+    def bwd(g):
+        return tuple(g * w for w in weights)
+
+    return _result("weighted_sum", out, terms, bwd)
 
 
 # -- backward pass --------------------------------------------------------------

@@ -144,21 +144,17 @@ def train_step(batch, store, model_config, optimizer, weights, ablation=None):
     """One optimization step over the summed weighted loss; returns the per-term report."""
     ablation = ablation or AblationSpec()
     flow = run_double_flow(batch, store, model_config, ablation)
-    n = batch.n
     labels2 = np.concatenate([batch.labels, batch.labels])
-
-    def halves(t):
-        return t.narrow(0, 0, n), t.narrow(0, n, 2 * n)
 
     # Both flows feed the task loss (2n rows, labels duplicated) so one head
     # stays competent in both modes.
     task = task_loss(labels2, flow.y_hat)
     mkd1 = mkd2 = rs = rnc = None
     if ablation.use_mkd:
-        mkd1 = mkd_loss(*halves(flow.stage1["t"]))
-        mkd2 = mkd_loss(*halves(flow.seq["t"]))
+        mkd1 = mkd_loss(flow.stage1["t"])
+        mkd2 = mkd_loss(flow.seq["t"])
     if ablation.use_rs:
-        rs = rs_loss(*halves(flow.r))
+        rs = rs_loss(flow.r)
     if ablation.use_rnc and weights.delta > 0:
         rnc = rnc_loss(flow.r, labels2, weights.tau_rnc)
 

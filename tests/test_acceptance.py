@@ -29,7 +29,7 @@ from modalflow.fusion import (
     umca_forward,
 )
 from modalflow.imagination import MIAParams, mia_forward
-from modalflow.losses import mkd_loss, rnc_loss, rnc_oracle, rs_loss, task_loss
+from modalflow.losses import LossWeights, mkd_loss, rnc_loss, rnc_oracle, rs_loss, task_loss, total_loss
 from modalflow.nn import AffineLayer
 from modalflow.tensor import (
     Tensor,
@@ -209,13 +209,13 @@ def _grad_cases(rng):
 
         return f, point
 
-    def mia_case():
+    def mia_case(ctx_rows=2, rows=2, gate_from=0):
         d, hidden = 3, 2
-        point = [t((2, d)) for _ in range(3)]
+        point = [t((ctx_rows, d)) for _ in range(2)] + [t((rows, d))]
         point += [t((3 * d, hidden)), t((hidden,)), t((hidden, d)), t((d,))]
 
         def f(p):
-            return mia_forward(p[0], p[1], p[2], MIAParams(p[3], p[4], p[5], p[6])).square().sum()
+            return mia_forward(p[0], p[1], p[2], MIAParams(p[3], p[4], p[5], p[6]), gate_from).square().sum()
 
         return f, point
 
@@ -229,11 +229,17 @@ def _grad_cases(rng):
             "multiview_queries": multiview_case,
             "stage2_fuse": lambda: _umca_stage2_case(rng),
             "mia_forward": mia_case,
+            # the stage-1 layout: 2 context rows shared by 4 text rows, the last 2 gated
+            "mia_forward_gated": lambda: mia_case(ctx_rows=2, rows=4, gate_from=2),
             "loss_task": lambda: (lambda p: task_loss(labels, p[0]), [t((4,))]),
-            # the teacher is a held constant: its detach makes the AD gradient
-            # zero by design, which finite differences would not reproduce
-            "loss_mkd": lambda: (lambda p: mkd_loss(teacher, p[0]), [t((2, 3))]),
-            "loss_rs": lambda: (lambda p: rs_loss(p[0], p[1]), [t((2, 3)), t((2, 3))]),
+            # the teacher half is a held constant: its detach makes the AD
+            # gradient zero by design, which finite differences would not reproduce
+            "loss_mkd": lambda: (lambda p: mkd_loss(concat([teacher, p[0]], axis=0)), [t((2, 3))]),
+            "loss_rs": lambda: (lambda p: rs_loss(p[0]), [t((4, 3))]),
+            "loss_total": lambda: (
+                lambda p: total_loss(p[0], LossWeights(), mkd1=p[1], mkd2=p[2], rs=p[3], rnc=p[4]).square(),
+                [t(()) for _ in range(5)],
+            ),
             "loss_rnc": lambda: (lambda p: rnc_loss(p[0], rnc_labels, 2.0), [t((8, 3))]),
             # attend with a 2-D K and V broadcast over a 3-D Q's batch axis
             "matmul_3d_by_2d": lambda: attend_stage((2, 3, 4), (5, 4), "qkv"),
@@ -316,7 +322,10 @@ def test_criterion_3_detach_contract():
 
     flow_c = flow(store_teacher, rng_inputs["t"], gate=False)
     flow_m = flow(store_student, sim_text, gate=True)
-    loss = mkd_loss(flow_c.stage1["t"], flow_m.stage1["t"]) + mkd_loss(flow_c.seq["t"], flow_m.seq["t"])
+    # each MKD loss takes the teacher rows stacked over the student rows
+    loss = mkd_loss(concat([flow_c.stage1["t"], flow_m.stage1["t"]], axis=0)) + mkd_loss(
+        concat([flow_c.seq["t"], flow_m.seq["t"]], axis=0)
+    )
     grads = backward(loss)
 
     teacher_leak = [n for n, p in store_teacher.items() if np.any(grads.get(p) != 0.0)]

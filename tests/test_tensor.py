@@ -7,6 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from builders import (
+    assert_fused_matches_composed,
+    composed_cross_attention,
+    composed_imagine,
+    composed_mse,
+    composed_rmse_halves,
+    composed_subset_sum,
+    composed_weighted_sum,
+)
 from modalflow.tensor import (
     _RNC_BLOCK,
     DomainError,
@@ -17,10 +26,16 @@ from modalflow.tensor import (
     attend,
     backward,
     concat,
+    cross_attention,
     grad_check,
+    imagine,
+    mse,
     narrow,
     rank_contrast,
+    rmse_halves,
     softmax,
+    subset_sum,
+    weighted_sum,
 )
 
 finite_arrays = arrays(
@@ -368,6 +383,29 @@ def _attend_stage(rng, q_shape, kv_shape, vary):
     return f, [operands[c] for c in vary]
 
 
+# multi-view subsets of three modalities, as fusion.SUBSETS orders them
+VIEWS = ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
+
+
+def _cross_attention_point(rng, q_shape, n, seq=3, din=2, d=3):
+    """Q, E [n, seq, din] and the value and key maps' W and b."""
+    return _points(rng, q_shape, (n, seq, din), (din, d), (d,), (d, d), (d,))
+
+
+def _subset_point(rng, rows, n=2, d=3):
+    """w [n, rows, 3] and three [n, rows, d] tensors."""
+    return _points(rng, (n, rows, 3), *[(n, rows, d)] * 3)
+
+
+def _imagine_point(rng, ctx_rows, rows, q=2, d=2, hidden=3):
+    return _points(rng, (ctx_rows, q, d), (ctx_rows, q, d), (rows, q, d), (3 * d, hidden), (hidden,), (hidden, d), (d,))
+
+
+def _rmse_detached_case(rng):
+    teacher = Tensor(rng.normal(size=(2, 3)))
+    return (lambda p: rmse_halves(concat([teacher, p[0]], axis=0), detach_first=True)), _points(rng, (2, 3))
+
+
 PRIMITIVE_CASES = {
     # attend's stages one at a time under the names of the ops it replaced:
     # the product with V, the product with K^T, the query path over batches,
@@ -400,6 +438,21 @@ PRIMITIVE_CASES = {
     "pairwise_dist": lambda r: (lambda p: rank_contrast(p[0], DISTINCT_KEYS, 1.3), _coincident_rows(r)),
     "rank_contrast": lambda r: (lambda p: rank_contrast(p[0], TIED_KEYS, 1.3), _coincident_rows(r)),
     "rank_contrast_blocks": _rank_contrast_across_blocks,
+    # the fused blocks, at the layouts the training step uses them in
+    "cross_attention": lambda r: (lambda p: cross_attention(*p, 1.7).square().sum(), _cross_attention_point(r, (1, 3), 2)),
+    "cross_attention_shared": lambda r: (
+        lambda p: cross_attention(*p, 1.7).square().sum(), _cross_attention_point(r, (4, 2, 3), 2)
+    ),
+    "subset_sum": lambda r: (lambda p: subset_sum(p[0], p[1:], VIEWS).square().sum(), _subset_point(r, 1)),
+    "subset_sum_mean": lambda r: (lambda p: subset_sum(p[0], p[1:], (VIEWS[-1],), mean=True).square().sum(), _subset_point(r, 3)),
+    "imagine": lambda r: (lambda p: imagine(*p).square().sum(), _imagine_point(r, 2, 2)),
+    "imagine_gated": lambda r: (lambda p: imagine(*p, gate_from=2).square().sum(), _imagine_point(r, 4, 4)),
+    "imagine_shared_context": lambda r: (lambda p: imagine(*p, gate_from=2).square().sum(), _imagine_point(r, 2, 4)),
+    "rmse_halves": lambda r: (lambda p: rmse_halves(p[0]), _points(r, (4, 3))),
+    # the detached half held constant: its AD gradient is zero by design
+    "rmse_halves_detached": _rmse_detached_case,
+    "mse": lambda r: (lambda p: mse(p[0], p[1]), _points(r, (5,), (5,))),
+    "weighted_sum": lambda r: (lambda p: weighted_sum(p, (1.0, 0.3, -2.0)).square(), _points(r, (), (), ())),
 }
 
 
@@ -418,6 +471,85 @@ def test_composite_gradient_property(x):
         return attend(p[0].tanh(), p[0], p[0], 1.3).square().sum()
 
     assert grad_check(f, [Tensor(x)]) < GRAD_TOL
+
+
+# -- fused ops against the composed graphs they replace ---------------------------------
+
+FUSED_CASES = {
+    # name: (fused op, its composed graph, point builder), both called as f(*point)
+    "cross_attention_stage1": (
+        lambda *p: cross_attention(*p, 1.7), lambda *p: composed_cross_attention(*p, 1.7),
+        lambda r: _cross_attention_point(r, (1, 4), 3, seq=5, din=3, d=4),
+    ),
+    "cross_attention_shared": (
+        lambda *p: cross_attention(*p, 1.7), lambda *p: composed_cross_attention(*p, 1.7),
+        lambda r: _cross_attention_point(r, (6, 7, 4), 3, seq=5, din=4, d=4),
+    ),
+    "cross_attention_2d": (
+        lambda *p: cross_attention(*p, 0.9), lambda *p: composed_cross_attention(*p, 0.9),
+        lambda r: _points(r, (3, 4), (5, 2), (2, 4), (4,), (4, 4), (4,)),
+    ),
+    "subset_sum_views": (
+        lambda w, *R: subset_sum(w, R, VIEWS), lambda w, *R: composed_subset_sum(w, R, VIEWS),
+        lambda r: _subset_point(r, 1, n=4, d=5),
+    ),
+    "subset_sum_mean": (
+        lambda w, *R: subset_sum(w, R, (VIEWS[-1],), mean=True),
+        lambda w, *R: composed_subset_sum(w, R, (VIEWS[-1],), mean=True),
+        lambda r: _subset_point(r, 7, n=4, d=5),
+    ),
+    "imagine": (imagine, composed_imagine, lambda r: _imagine_point(r, 3, 3, q=7, d=4)),
+    "imagine_gated": (
+        lambda *p: imagine(*p, gate_from=3), lambda *p: composed_imagine(*p, gate_from=3),
+        lambda r: _imagine_point(r, 6, 6, q=7, d=4),
+    ),
+    "imagine_shared_context": (
+        lambda *p: imagine(*p, gate_from=3), lambda *p: composed_imagine(*p, gate_from=3),
+        lambda r: _imagine_point(r, 3, 6, q=1, d=4),
+    ),
+    "rmse_halves": (rmse_halves, composed_rmse_halves, lambda r: _points(r, (6, 7, 4))),
+    "rmse_halves_detached": (
+        lambda x: rmse_halves(x, detach_first=True), lambda x: composed_rmse_halves(x, detach_first=True),
+        lambda r: _points(r, (6, 1, 4)),
+    ),
+    "mse": (mse, composed_mse, lambda r: _points(r, (8,), (8,))),
+    "weighted_sum": (
+        lambda *p: weighted_sum(p, (1.0, 0.3, 0.3, 1.0, 0.1)),
+        lambda *p: composed_weighted_sum(p, (1.0, 0.3, 0.3, 1.0, 0.1)),
+        lambda r: _points(r, (), (), (), (), ()),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_CASES))
+def test_fused_op_matches_composed_graph(name):
+    fused, composed, build = FUSED_CASES[name]
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    for _ in range(3):
+        assert_fused_matches_composed(lambda p: fused(*p), lambda p: composed(*p), build(rng), rng)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cross_attention(*_points(np.random.default_rng(0), (1, 3), (2, 3, 2), (3, 3), (3,), (3, 3), (3,)), 1.0),
+        lambda: cross_attention(*_points(np.random.default_rng(0), (5, 1, 3), (2, 3, 2), (2, 3), (3,), (3, 3), (3,)), 1.0),
+        lambda: subset_sum(Tensor(np.ones((2, 1, 2))), [Tensor(np.ones((2, 1, 3)))] * 3, VIEWS),
+        lambda: subset_sum(Tensor(np.ones((2, 1, 3))), [Tensor(np.ones((2, 1, 3)))] * 3, ((0, 3),)),
+        lambda: imagine(*_imagine_point(np.random.default_rng(0), 3, 6, q=1, d=2), gate_from=2),
+        lambda: imagine(*_imagine_point(np.random.default_rng(0), 2, 2, q=1, d=2), gate_from=2),
+        lambda: rmse_halves(Tensor(np.ones((3, 2)))),
+        lambda: mse(Tensor(np.ones(3)), Tensor(np.ones(4))),
+        lambda: weighted_sum([Tensor(np.ones(2)), Tensor(np.ones(3))], (1.0, 1.0)),
+    ],
+    ids=[
+        "cross_attention_dims", "cross_attention_rows", "subset_sum_weights", "subset_sum_index",
+        "imagine_context_rows", "imagine_gate_range", "rmse_halves_odd", "mse_shapes", "weighted_sum_shapes",
+    ],
+)
+def test_fused_op_shape_errors(build):
+    with pytest.raises(ShapeError):
+        build()
 
 
 def test_grad_check_rejects_bad_h():

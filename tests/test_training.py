@@ -206,20 +206,14 @@ def test_distillation_detach_contract(tiny_data):
 
     def mkd_terms(stage1_t, seq_t):
         """The two MKD terms as train_step takes them: teacher rows [:n], student rows [n:]."""
-        teachers = [t.narrow(0, 0, n) for t in (stage1_t, seq_t)]
-        students = [t.narrow(0, n, 2 * n) for t in (stage1_t, seq_t)]
-        return mkd_loss(teachers[0], students[0]) + mkd_loss(teachers[1], students[1]), teachers, students
+        return mkd_loss(stage1_t) + mkd_loss(seq_t)
 
-    loss, teachers, students = mkd_terms(flow.stage1["t"], flow.seq["t"])
-    up = ancestors(loss)
-    assert not any(node is t for node in up for t in teachers)
-    assert all(any(node is s for node in up) for s in students)
-    grads = backward(loss)
+    grads = backward(mkd_terms(flow.stage1["t"], flow.seq["t"]))
     for name in ("mia1.W1", "mia1.W2", "mia2.W1", "mia2.W2"):
         assert np.any(grads.get(store[name]) != 0.0), name
 
     leaves = [Tensor(flow.stage1["t"].values, requires_grad=True), Tensor(flow.seq["t"].values, requires_grad=True)]
-    leaf_grads = backward(mkd_terms(*leaves)[0])
+    leaf_grads = backward(mkd_terms(*leaves))
     for leaf in leaves:
         g = leaf_grads.get(leaf)
         assert np.all(g[:n] == 0.0)
@@ -299,20 +293,27 @@ def _default_step_graph(monkeypatch):
 
 
 def test_default_config_step_graph_size(monkeypatch):
-    """One default-config step is one stacked forward with RNC as one node,
-    each affine layer as one node and each of the 6 cross-attention calls as
-    one `attend` node: 166 graph nodes (two separate flow graphs took 303, a
-    composed RNC 213, matmul+add layers 204, audio and vision duplicated to
-    2n rows 182, attention composed from transpose, matmul, softmax and
-    matmul 188). Audio and vision run over n rows shared by both flows: 2
-    `concat`s repeat their stage-1 outputs for the two flows, and the stage-2
-    `attend` nodes view their 2n query rows as [2, n, 7, D], so the n-row keys
-    and values broadcast over the flow axis. A change that splits the flows
-    again fails here."""
+    """One default-config step is one stacked forward with one node per
+    block: 80 graph nodes, 29 ops and 51 leaves (47 parameters, 3 raw inputs,
+    the labels). Each of the 6 cross-attention calls is one `cross_attention`
+    node, the multi-view queries and the stage-2 pooling one `subset_sum`
+    each, each imagination rewrite with its row gate one `imagine`, the task
+    loss one `mse`, each MKD/RS loss one `rmse_halves` over its stacked
+    tensor, RNC one `rank_contrast` and the weighted total one
+    `weighted_sum`. Earlier layouts took 303 nodes (two separate flow graphs),
+    213 (a composed RNC), 204 (matmul+add layers), 182 (audio and vision
+    duplicated to 2n rows), 188 (attention composed from transpose, matmul,
+    softmax and matmul) and 166 (before one node per block). Audio and vision
+    run over n rows shared by both flows: 2 `concat`s repeat their stage-1
+    outputs for the two flows, and the stage-2 `cross_attention` nodes view
+    their 2n query rows as [2, n, 7, D], so the n-row keys and values
+    broadcast over the flow axis. A change that splits the flows again fails
+    here."""
     nodes = _default_step_graph(monkeypatch)
-    assert len(nodes) == 166
+    assert len(nodes) == 80
     ops = [n.op for n in nodes]
-    assert ops.count("attend") == 6 and ops.count("softmax") == 2
+    assert ops.count("cross_attention") == 6 and ops.count("softmax") == 2
+    assert ops.count("imagine") == 2 and ops.count("concat") == 4
 
 
 def test_every_step_op_has_a_primitive_grad_case(monkeypatch):
