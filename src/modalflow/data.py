@@ -12,8 +12,12 @@ file per tensor field per split (little-endian float64, row-major, samples
 concatenated along the leading axis). `write_tensor`/`read_tensor` are the
 one codec for these files; checkpoints (`training.save_checkpoint`) use it
 too and choose only their own file names and manifest keys. A save first
-removes the directory's old manifest and writes the new one last, atomically,
-so a save that stops partway leaves a directory that fails to load.
+removes the tensor files the directory's old manifest names, then that
+manifest, and writes the new one last, atomically, so a save that stops
+partway leaves a directory that fails to load, and a smaller re-save leaves no
+stale tensor files. A load checks the manifest's structure (objects where
+objects belong, plain file names inside the directory) and, for a dataset, the
+tensors' shapes against each other and the split's declared size.
 """
 
 from __future__ import annotations
@@ -182,17 +186,29 @@ def write_tensor(directory, fname, arr):
     return {"file": fname, "shape": list(np.shape(arr)), "bytes": len(raw)}
 
 
+def _is_plain_name(fname):
+    """True for a file name that stays inside its directory: no path
+    separator, not absolute, not `.` or `..`."""
+    return isinstance(fname, str) and fname not in ("", ".", "..") and not any(sep in fname for sep in ("/", "\\", os.sep))
+
+
 def read_tensor(directory, entry, name):
     """Read back the array of a `write_tensor` manifest entry.
 
-    Checks that the entry has every key and that the shape, the declared byte
-    count and the file length agree; a failure raises DatasetError naming the
-    tensor as `name`.
+    Checks that the entry is an object with every key, that its file is a
+    plain name inside `directory`, that its shape is a list of non-negative
+    ints, and that the shape, the declared byte count and the file length
+    agree; a failure raises DatasetError naming the tensor as `name`.
     """
+    require_object(entry, f"tensor '{name}' manifest entry")
     missing = [key for key in ("file", "shape", "bytes") if key not in entry]
     if missing:
         raise DatasetError(f"load: tensor '{name}' manifest entry lacks {', '.join(map(repr, missing))}")
-    shape = tuple(int(s) for s in entry["shape"])
+    if not _is_plain_name(entry["file"]):
+        raise DatasetError(f"load: tensor '{name}' file {entry['file']!r} is not a plain file name inside {directory}")
+    if not isinstance(entry["shape"], list) or not all(_is_count(s) for s in entry["shape"]) or not _is_count(entry["bytes"]):
+        raise DatasetError(f"load: tensor '{name}' needs a shape list and a byte count of non-negative ints")
+    shape = tuple(entry["shape"])
     expected = int(np.prod(shape, dtype=np.int64)) * 8
     if expected != int(entry["bytes"]):
         raise DatasetError(
@@ -208,18 +224,58 @@ def read_tensor(directory, entry, name):
     return np.frombuffer(raw, dtype=TENSOR_DTYPE).reshape(shape)
 
 
+def _is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+_JSON_TYPE_NAMES = {list: "array", str: "string", int: "number", float: "number", bool: "boolean", type(None): "null"}
+
+
+def require_object(value, where):
+    """`value` if it is a JSON object (a dict), else DatasetError naming `where`."""
+    if not isinstance(value, dict):
+        raise DatasetError(f"load: {where} must be a JSON object, got {_JSON_TYPE_NAMES.get(type(value), 'a value')}")
+    return value
+
+
+def read_manifest(manifest_path):
+    """The JSON object in a manifest file; other content raises DatasetError."""
+    try:
+        manifest = json.loads(Path(manifest_path).read_text())
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"load: {manifest_path} is not valid JSON ({exc})") from None
+    return require_object(manifest, manifest_path)
+
+
 def check_dtype(manifest, where):
     """Reject a manifest that declares an element type other than the codec's."""
     if manifest.get("dtype") != TENSOR_DTYPE:
         raise DatasetError(f"load: {where} declares dtype {manifest.get('dtype')!r}, expected {TENSOR_DTYPE!r}")
 
 
+def _named_files(manifest_path):
+    """The plain tensor file names an old manifest names, in a dataset's
+    splits or a checkpoint's tensors; none if it cannot be read as one."""
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        groups = [manifest.get("tensors", {})] + [s.get("tensors", {}) for s in manifest.get("splits", {}).values()]
+        return {e.get("file") for g in groups for e in g.values()} - {None}
+    except (OSError, ValueError, AttributeError, TypeError):
+        return set()
+
+
 def start_save(path):
-    """Make the directory `path` ready for a save: it exists and holds no
-    manifest, so a reader cannot pair an old manifest with new tensor files."""
+    """Make the directory `path` ready for a save: the tensor files its old
+    manifest names are removed (plain names only, so nothing outside it),
+    then the manifest, so a reader cannot pair an old manifest with new
+    tensor files and a smaller save leaves no stale ones."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    (path / "manifest.json").unlink(missing_ok=True)
+    manifest_path = path / "manifest.json"
+    for fname in _named_files(manifest_path):
+        if _is_plain_name(fname):
+            (path / fname).unlink(missing_ok=True)
+    manifest_path.unlink(missing_ok=True)
     return path
 
 
@@ -275,14 +331,14 @@ def load_dataset(path, split=None):
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
         raise DatasetError(f"load: no manifest.json under {path}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = read_manifest(manifest_path)
     if manifest.get("format") != "modalflow-dataset-v1":
         raise DatasetError(f"load: unrecognized format {manifest.get('format')!r}")
     check_dtype(manifest, manifest_path)
     require_keys(manifest, ("config", "splits"), manifest_path)
     config = config_from(SynthConfig, manifest, "config", manifest_path)
 
-    splits = manifest["splits"]
+    splits = require_object(manifest["splits"], f"{manifest_path} 'splits'")
     if split is not None:
         if split not in splits:
             raise DatasetError(f"load: split '{split}' not present (has {sorted(splits)})")
@@ -291,12 +347,29 @@ def load_dataset(path, split=None):
 
 
 def _load_split(path, config, split, entry):
-    require_keys(entry, ("tensors",), f"split '{split}'")
+    """One split's Dataset. Its tensors must share the leading axis `n` the
+    manifest declares; labels are 1-D, the four feature tensors 3-D with one
+    sequence length, and text and sim_text have one shape."""
+    where = f"split '{split}'"
+    require_keys(require_object(entry, where), ("n", "tensors"), where)
+    tensors = require_object(entry["tensors"], f"{where} 'tensors'")
     arrays = {}
     for name in TENSOR_FIELDS:
-        if name not in entry["tensors"]:
+        if name not in tensors:
             raise DatasetError(f"load: split '{split}' missing tensor '{name}'")
-        arrays[name] = read_tensor(path, entry["tensors"][name], f"{split}/{name}")
+        arrays[name] = read_tensor(path, tensors[name], f"{split}/{name}")
+    shapes = {name: arr.shape for name, arr in arrays.items()}
+    features = [shapes[name] for name in TENSOR_FIELDS if name != "labels"]
+    if (
+        any(s[:1] != (entry["n"],) for s in shapes.values())
+        or len(shapes["labels"]) != 1
+        or any(len(s) != 3 or s[1] != features[0][1] for s in features)
+        or shapes["text"] != shapes["sim_text"]
+    ):
+        raise DatasetError(
+            f"load: {where} declares n={entry['n']!r} but has tensor shapes {shapes}; "
+            "need [n] labels and [n, S, raw] audio, vision, text and sim_text with one S, text and sim_text alike"
+        )
     return Dataset(split=split, config=config, **arrays)
 
 

@@ -21,7 +21,6 @@ keys.
 from __future__ import annotations
 
 import csv
-import json
 import os
 import threading
 import warnings
@@ -37,8 +36,10 @@ from .data import (
     check_dtype,
     config_from,
     finish_save,
+    read_manifest,
     read_tensor,
     require_keys,
+    require_object,
     start_save,
     write_tensor,
 )
@@ -409,14 +410,14 @@ def load_checkpoint(path):
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no checkpoint manifest under {path}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = read_manifest(manifest_path)
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format {manifest.get('format')!r}")
     check_dtype(manifest, manifest_path)
     require_keys(manifest, CHECKPOINT_KEYS, manifest_path)
 
     params = {}
-    for key, entry in manifest["tensors"].items():
+    for key, entry in require_object(manifest["tensors"], f"{manifest_path} 'tensors'").items():
         group, sep, name = key.partition(":")
         if not sep or group != "param":
             raise ValueError(f"checkpoint tensor '{key}': name must be 'param:<parameter name>'")

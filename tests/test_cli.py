@@ -182,6 +182,25 @@ def test_eval_dataset_manifest_without_key_fails_cleanly(workdir, tmp_path, caps
     assert f"lacks '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["data", "checkpoint"])
+def test_eval_manifest_that_is_not_an_object_fails_cleanly(workdir, tmp_path, capsys, target):
+    paths = {"data": workdir["data"], "checkpoint": workdir["run"] / "checkpoint"}
+    shutil.copytree(paths[target], tmp_path / target)
+    (tmp_path / target / "manifest.json").write_text("[]")
+    paths[target] = tmp_path / target
+    code = main(["eval", "--checkpoint", str(paths["checkpoint"]), "--data", str(paths["data"])])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "manifest.json must be a JSON object, got array" in err
+
+
+def test_eval_dataset_splits_that_are_not_an_object_fail_cleanly(workdir, tmp_path, capsys):
+    data = _edited_copy(workdir["data"], tmp_path / "data", lambda m: m.update(splits=[]))
+    code = main(["eval", "--checkpoint", str(workdir["run"]), "--data", str(data)])
+    assert code == 1
+    assert "'splits' must be a JSON object, got array" in capsys.readouterr().err
+
+
 def test_eval_checkpoint_without_parameter_fails_cleanly(workdir, tmp_path, capsys):
     ckpt = _edited_copy(workdir["run"] / "checkpoint", tmp_path / "ckpt", lambda m: m["tensors"].pop("param:head.W"))
     code = main(["eval", "--checkpoint", str(ckpt), "--data", str(workdir["data"])])

@@ -272,6 +272,120 @@ def test_load_names_a_missing_or_unknown_manifest_key(small_data, tmp_path, edit
         load_dataset(tmp_path / "ds")
 
 
+def _edit_manifest(root, edit):
+    mpath = root / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    replaced = edit(manifest)  # None: edited in place
+    mpath.write_text(json.dumps(manifest if replaced is None else replaced))
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (lambda m: [], "manifest.json"),
+        (lambda m: m.update(splits=[]), "'splits'"),
+        (lambda m: m["splits"].update(val=[1]), "split 'val'"),
+        (lambda m: m["splits"]["val"].update(tensors="x"), "split 'val' 'tensors'"),
+        (lambda m: m["splits"]["val"]["tensors"].update(labels=None), "tensor 'val/labels' manifest entry"),
+    ],
+    ids=["manifest", "splits", "split", "tensors", "tensor_entry"],
+)
+def test_load_rejects_a_manifest_part_that_is_not_an_object(small_data, tmp_path, edit, where):
+    save_dataset(small_data, tmp_path / "ds")
+    _edit_manifest(tmp_path / "ds", edit)
+    with pytest.raises(DatasetError, match=f"{where} must be a JSON object"):
+        load_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize(
+    "fname",
+    ["../outside/test_labels.bin", "{root}/outside/test_labels.bin", "sub/test_labels.bin", ".", "..", ""],
+    ids=["parent", "absolute", "subdir", "dot", "dotdot", "empty"],
+)
+def test_load_rejects_a_tensor_file_that_is_not_a_plain_name(small_data, tmp_path, fname):
+    save_dataset(small_data, tmp_path / "outside")
+    save_dataset(small_data, tmp_path / "ds")
+    (tmp_path / "ds" / "sub").mkdir()
+    (tmp_path / "ds" / "sub" / "test_labels.bin").write_bytes((tmp_path / "ds" / "test_labels.bin").read_bytes())
+    _edit_manifest(tmp_path / "ds", lambda m: m["splits"]["test"]["tensors"]["labels"].update(file=fname.format(root=tmp_path)))
+    with pytest.raises(DatasetError, match="'test/labels' file .* is not a plain file name"):
+        load_dataset(tmp_path / "ds", split="test")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: m["tensors"]["labels"].update(shape=20),
+        lambda m: m["tensors"]["labels"].update(shape=[20.0]),
+        lambda m: m["tensors"]["labels"].update(shape=[-20]),
+        lambda m: m["tensors"]["labels"].update(bytes="160"),
+    ],
+    ids=["shape_not_list", "shape_float", "shape_negative", "bytes_string"],
+)
+def test_load_rejects_an_ill_typed_shape_or_byte_count(small_data, tmp_path, edit):
+    save_dataset(small_data, tmp_path / "ds")
+    _edit_manifest(tmp_path / "ds", lambda m: edit(m["splits"]["test"]))
+    with pytest.raises(DatasetError, match="'test/labels' needs a shape list"):
+        load_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda ds: replace(ds, audio=ds.audio[:-1]),
+        lambda ds: replace(ds, vision=ds.vision[:, :-1]),
+        lambda ds: replace(ds, text=ds.text[:, :, 0]),
+        lambda ds: replace(ds, sim_text=ds.sim_text[..., :-1]),
+        lambda ds: replace(ds, labels=ds.labels[:, None]),
+    ],
+    ids=["rows", "seq_len", "text_2d", "sim_text_width", "labels_2d"],
+)
+def test_load_checks_tensor_shapes_across_a_split(small_data, tmp_path, change):
+    save_dataset(change(small_data["test"]), tmp_path / "ds")
+    with pytest.raises(DatasetError, match="split 'test' declares n=20 but has tensor shapes"):
+        load_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize(
+    "edit, n",
+    [
+        (lambda split: split.update(n=7), 7),
+        # the same byte count as the 20 labels, beside 20-row features
+        (lambda split: split["tensors"]["labels"].update(shape=[10, 2]), 20),
+    ],
+    ids=["n", "labels_redeclared"],
+)
+def test_load_checks_the_declared_split_size_and_label_shape(small_data, tmp_path, edit, n):
+    save_dataset(small_data, tmp_path / "ds")
+    _edit_manifest(tmp_path / "ds", lambda m: edit(m["splits"]["test"]))
+    with pytest.raises(DatasetError, match=f"split 'test' declares n={n} but"):
+        load_dataset(tmp_path / "ds", split="test")
+
+
+def test_smaller_resave_leaves_only_the_new_files(small_data, tmp_path):
+    save_dataset(small_data, tmp_path / "ds")
+    save_dataset(small_data["val"], tmp_path / "ds")
+    names = json.loads((tmp_path / "ds" / "manifest.json").read_text())["splits"]["val"]["tensors"]
+    assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == sorted([e["file"] for e in names.values()] + ["manifest.json"])
+    assert load_dataset(tmp_path / "ds", split="val").equal(small_data["val"])
+
+
+def test_resave_removes_only_plain_named_files(small_data, tmp_path):
+    """An old manifest naming a file outside the directory, or one that is
+    not JSON at all, costs the re-save nothing but its own removal."""
+    save_dataset(small_data["val"], tmp_path / "ds")
+    outside = tmp_path / "keep.bin"
+    outside.write_bytes(b"x")
+    _edit_manifest(tmp_path / "ds", lambda m: m["splits"]["val"]["tensors"]["labels"].update(file="../keep.bin"))
+    save_dataset(small_data["test"], tmp_path / "ds")
+    assert outside.exists()
+    assert (tmp_path / "ds" / "val_labels.bin").exists()  # named only by the edited-away entry
+    assert not (tmp_path / "ds" / "val_audio.bin").exists()
+    (tmp_path / "ds" / "manifest.json").write_text("{not json")
+    save_dataset(small_data["val"], tmp_path / "ds")
+    assert load_dataset(tmp_path / "ds", split="val").equal(small_data["val"])
+
+
 # -- batching --------------------------------------------------------------------------------
 
 

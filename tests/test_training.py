@@ -14,7 +14,7 @@ import pytest
 import modalflow.fusion as fusion
 import modalflow.training as training
 from builders import TINY_RAW_DIMS, tiny_model_config
-from modalflow.data import SynthConfig, batch_iter, generate_dataset, write_tensor
+from modalflow.data import DatasetError, SynthConfig, batch_iter, generate_dataset, write_tensor
 from modalflow.fusion import MODALITIES, ModelConfig, init_model
 from modalflow.losses import LossWeights
 from modalflow.nn import AdamState
@@ -803,6 +803,40 @@ def test_load_checkpoint_rejects_corruption(fitted, tmp_path, kind, match):
     mpath.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=match):
         load_checkpoint(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (lambda m: [], "manifest.json"),
+        (lambda m: m.update(tensors=[]), "'tensors'"),
+        (lambda m: m["tensors"].update({"param:head.W": "t0000.bin"}), r"tensor 'param:head\.W' manifest entry"),
+    ],
+    ids=["manifest", "tensors", "tensor_entry"],
+)
+def test_load_checkpoint_rejects_a_manifest_part_that_is_not_an_object(fitted, tmp_path, edit, where):
+    save_checkpoint(fitted[0], tmp_path / "ckpt")
+    mpath = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    replaced = edit(manifest)
+    mpath.write_text(json.dumps(manifest if replaced is None else replaced))
+    with pytest.raises(DatasetError, match=f"{where} must be a JSON object"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def test_resave_over_a_larger_checkpoint_leaves_only_its_files(fitted, tmp_path):
+    """A checkpoint directory that held more tensors (as a v2 one held Adam
+    moments) keeps only the re-save's files."""
+    save_checkpoint(fitted[0], tmp_path / "ckpt")
+    mpath = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    for i, name in enumerate(fitted[0].params):
+        manifest["tensors"][f"adam_m:{name}"] = write_tensor(tmp_path / "ckpt", f"m{i:04d}.bin", np.zeros(1))
+    mpath.write_text(json.dumps(manifest))
+    save_checkpoint(fitted[0], tmp_path / "ckpt")
+    named = {e["file"] for e in json.loads(mpath.read_text())["tensors"].values()}
+    assert {p.name for p in (tmp_path / "ckpt").iterdir()} == named | {"manifest.json"}
+    assert len(named) == len(fitted[0].params)
 
 
 def test_loaded_checkpoint_evaluates_identically(tiny_data, fitted, tmp_path):
