@@ -189,7 +189,9 @@ def write_tensor(directory, fname, arr):
 def _is_plain_name(fname):
     """True for a file name that stays inside its directory: no path
     separator, not absolute, not `.` or `..`."""
-    return isinstance(fname, str) and fname not in ("", ".", "..") and not any(sep in fname for sep in ("/", "\\", os.sep))
+    if not isinstance(fname, str) or fname in ("", ".", ".."):
+        return False
+    return not any(sep in fname for sep in ("/", "\\", os.sep))
 
 
 def read_tensor(directory, entry, name):
@@ -206,7 +208,8 @@ def read_tensor(directory, entry, name):
         raise DatasetError(f"load: tensor '{name}' manifest entry lacks {', '.join(map(repr, missing))}")
     if not _is_plain_name(entry["file"]):
         raise DatasetError(f"load: tensor '{name}' file {entry['file']!r} is not a plain file name inside {directory}")
-    if not isinstance(entry["shape"], list) or not all(_is_count(s) for s in entry["shape"]) or not _is_count(entry["bytes"]):
+    shape, size = entry["shape"], entry["bytes"]
+    if not isinstance(shape, list) or not all(_is_count(s) for s in shape) or not _is_count(size):
         raise DatasetError(f"load: tensor '{name}' needs a shape list and a byte count of non-negative ints")
     shape = tuple(entry["shape"])
     expected = int(np.prod(shape, dtype=np.int64)) * 8

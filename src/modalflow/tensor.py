@@ -564,7 +564,8 @@ def subset_sum(w, R, subsets, mean=False):
     w = _lift(w)
     R = [_lift(t) for t in R]
     if w.ndim < 2 or w.shape[-1] != len(R) or any(t.shape[:-1] != w.shape[:-1] for t in R):
-        raise ShapeError(f"subset_sum: need w [..., q, {len(R)}] and R [..., q, D], got {w.shape}, {[t.shape for t in R]}")
+        shapes = [t.shape for t in R]
+        raise ShapeError(f"subset_sum: need w [..., q, {len(R)}] and R [..., q, D], got {w.shape}, {shapes}")
     if not subsets or any(not s or not all(0 <= i < len(R) for i in s) for s in subsets):
         raise ShapeError(f"subset_sum: subsets {subsets} must be non-empty index tuples below {len(R)}")
     wv = w.values
@@ -714,7 +715,8 @@ def weighted_sum(terms, weights):
     terms = [_lift(t) for t in terms]
     weights = [float(w) for w in weights]
     if not terms or len(weights) != len(terms) or any(t.shape != terms[0].shape for t in terms):
-        raise ShapeError(f"weighted_sum: need one weight per same-shape term, got {[t.shape for t in terms]} and {len(weights)} weights")
+        shapes = [t.shape for t in terms]
+        raise ShapeError(f"weighted_sum: need one weight per same-shape term, got {shapes} and {len(weights)} weights")
     out = None
     for t, w in zip(terms, weights):
         term = t.values * w

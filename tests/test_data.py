@@ -307,7 +307,8 @@ def test_load_rejects_a_tensor_file_that_is_not_a_plain_name(small_data, tmp_pat
     save_dataset(small_data, tmp_path / "ds")
     (tmp_path / "ds" / "sub").mkdir()
     (tmp_path / "ds" / "sub" / "test_labels.bin").write_bytes((tmp_path / "ds" / "test_labels.bin").read_bytes())
-    _edit_manifest(tmp_path / "ds", lambda m: m["splits"]["test"]["tensors"]["labels"].update(file=fname.format(root=tmp_path)))
+    labels = fname.format(root=tmp_path)
+    _edit_manifest(tmp_path / "ds", lambda m: m["splits"]["test"]["tensors"]["labels"].update(file=labels))
     with pytest.raises(DatasetError, match="'test/labels' file .* is not a plain file name"):
         load_dataset(tmp_path / "ds", split="test")
 
@@ -366,7 +367,8 @@ def test_smaller_resave_leaves_only_the_new_files(small_data, tmp_path):
     save_dataset(small_data, tmp_path / "ds")
     save_dataset(small_data["val"], tmp_path / "ds")
     names = json.loads((tmp_path / "ds" / "manifest.json").read_text())["splits"]["val"]["tensors"]
-    assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == sorted([e["file"] for e in names.values()] + ["manifest.json"])
+    files = sorted(p.name for p in (tmp_path / "ds").iterdir())
+    assert files == sorted([e["file"] for e in names.values()] + ["manifest.json"])
     assert load_dataset(tmp_path / "ds", split="val").equal(small_data["val"])
 
 

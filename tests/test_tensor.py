@@ -439,12 +439,16 @@ PRIMITIVE_CASES = {
     "rank_contrast": lambda r: (lambda p: rank_contrast(p[0], TIED_KEYS, 1.3), _coincident_rows(r)),
     "rank_contrast_blocks": _rank_contrast_across_blocks,
     # the fused blocks, at the layouts the training step uses them in
-    "cross_attention": lambda r: (lambda p: cross_attention(*p, 1.7).square().sum(), _cross_attention_point(r, (1, 3), 2)),
+    "cross_attention": lambda r: (
+        lambda p: cross_attention(*p, 1.7).square().sum(), _cross_attention_point(r, (1, 3), 2)
+    ),
     "cross_attention_shared": lambda r: (
         lambda p: cross_attention(*p, 1.7).square().sum(), _cross_attention_point(r, (4, 2, 3), 2)
     ),
     "subset_sum": lambda r: (lambda p: subset_sum(p[0], p[1:], VIEWS).square().sum(), _subset_point(r, 1)),
-    "subset_sum_mean": lambda r: (lambda p: subset_sum(p[0], p[1:], (VIEWS[-1],), mean=True).square().sum(), _subset_point(r, 3)),
+    "subset_sum_mean": lambda r: (
+        lambda p: subset_sum(p[0], p[1:], (VIEWS[-1],), mean=True).square().sum(), _subset_point(r, 3)
+    ),
     "imagine": lambda r: (lambda p: imagine(*p).square().sum(), _imagine_point(r, 2, 2)),
     "imagine_gated": lambda r: (lambda p: imagine(*p, gate_from=2).square().sum(), _imagine_point(r, 4, 4)),
     "imagine_shared_context": lambda r: (lambda p: imagine(*p, gate_from=2).square().sum(), _imagine_point(r, 2, 4)),
@@ -532,8 +536,9 @@ def test_fused_op_matches_composed_graph(name):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: cross_attention(*_points(np.random.default_rng(0), (1, 3), (2, 3, 2), (3, 3), (3,), (3, 3), (3,)), 1.0),
-        lambda: cross_attention(*_points(np.random.default_rng(0), (5, 1, 3), (2, 3, 2), (2, 3), (3,), (3, 3), (3,)), 1.0),
+        # E's last axis is not Wv's input size; 5 query rows against 2 key rows
+        lambda: cross_attention(*[Tensor(np.ones(s)) for s in ((1, 3), (2, 3, 2), (3, 3), (3,), (3, 3), (3,))], 1.0),
+        lambda: cross_attention(*[Tensor(np.ones(s)) for s in ((5, 1, 3), (2, 3, 2), (2, 3), (3,), (3, 3), (3,))], 1.0),
         lambda: subset_sum(Tensor(np.ones((2, 1, 2))), [Tensor(np.ones((2, 1, 3)))] * 3, VIEWS),
         lambda: subset_sum(Tensor(np.ones((2, 1, 3))), [Tensor(np.ones((2, 1, 3)))] * 3, ((0, 3),)),
         lambda: imagine(*_imagine_point(np.random.default_rng(0), 3, 6, q=1, d=2), gate_from=2),
