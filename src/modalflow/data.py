@@ -231,13 +231,10 @@ def _is_count(value):
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-_JSON_TYPE_NAMES = {list: "array", str: "string", int: "number", float: "number", bool: "boolean", type(None): "null"}
-
-
 def require_object(value, where):
     """`value` if it is a JSON object (a dict), else DatasetError naming `where`."""
     if not isinstance(value, dict):
-        raise DatasetError(f"load: {where} must be a JSON object, got {_JSON_TYPE_NAMES.get(type(value), 'a value')}")
+        raise DatasetError(f"load: {where} must be a JSON object, got {type(value).__name__}")
     return value
 
 

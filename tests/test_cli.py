@@ -191,14 +191,14 @@ def test_eval_manifest_that_is_not_an_object_fails_cleanly(workdir, tmp_path, ca
     code = main(["eval", "--checkpoint", str(paths["checkpoint"]), "--data", str(paths["data"])])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "manifest.json must be a JSON object, got array" in err
+    assert err.startswith("error: ") and "manifest.json must be a JSON object, got list" in err
 
 
 def test_eval_dataset_splits_that_are_not_an_object_fail_cleanly(workdir, tmp_path, capsys):
     data = _edited_copy(workdir["data"], tmp_path / "data", lambda m: m.update(splits=[]))
     code = main(["eval", "--checkpoint", str(workdir["run"]), "--data", str(data)])
     assert code == 1
-    assert "'splits' must be a JSON object, got array" in capsys.readouterr().err
+    assert "'splits' must be a JSON object, got list" in capsys.readouterr().err
 
 
 def test_eval_checkpoint_without_parameter_fails_cleanly(workdir, tmp_path, capsys):

@@ -206,6 +206,18 @@ def test_backward_rejects_detached_loss():
         lambda: affine(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), Tensor(np.ones(2))),
         lambda: affine(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones((1, 2)))),
         lambda: affine(Tensor(np.ones((2, 3))), Tensor(np.ones((1, 3, 2))), Tensor(np.ones(2))),
+        # E's last axis is not Wv's input size; 5 query rows against 2 key rows
+        lambda: cross_attention(*[Tensor(np.ones(s)) for s in ((1, 3), (2, 3, 2), (3, 3), (3,), (3, 3), (3,))], 1.0),
+        lambda: cross_attention(*[Tensor(np.ones(s)) for s in ((5, 1, 3), (2, 3, 2), (2, 3), (3,), (3, 3), (3,))], 1.0),
+        # two weights for three tensors; an index past the tensors
+        lambda: subset_sum(Tensor(np.ones((2, 1, 2))), [Tensor(np.ones((2, 1, 3)))] * 3, VIEWS),
+        lambda: subset_sum(Tensor(np.ones((2, 1, 3))), [Tensor(np.ones((2, 1, 3)))] * 3, ((0, 3),)),
+        # 3 context rows for 6 text rows gated from row 2; a gate past the last row
+        lambda: imagine(*_imagine_point(np.random.default_rng(0), 3, 6, q=1, d=2), gate_from=2),
+        lambda: imagine(*_imagine_point(np.random.default_rng(0), 2, 2, q=1, d=2), gate_from=2),
+        lambda: rmse_halves(Tensor(np.ones((3, 2)))),
+        lambda: mse(Tensor(np.ones(3)), Tensor(np.ones(4))),
+        lambda: weighted_sum([Tensor(np.ones(2)), Tensor(np.ones(3))], (1.0, 1.0)),
     ],
 )
 def test_shape_errors(build):
@@ -531,30 +543,6 @@ def test_fused_op_matches_composed_graph(name):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     for _ in range(3):
         assert_fused_matches_composed(lambda p: fused(*p), lambda p: composed(*p), build(rng), rng)
-
-
-@pytest.mark.parametrize(
-    "build",
-    [
-        # E's last axis is not Wv's input size; 5 query rows against 2 key rows
-        lambda: cross_attention(*[Tensor(np.ones(s)) for s in ((1, 3), (2, 3, 2), (3, 3), (3,), (3, 3), (3,))], 1.0),
-        lambda: cross_attention(*[Tensor(np.ones(s)) for s in ((5, 1, 3), (2, 3, 2), (2, 3), (3,), (3, 3), (3,))], 1.0),
-        lambda: subset_sum(Tensor(np.ones((2, 1, 2))), [Tensor(np.ones((2, 1, 3)))] * 3, VIEWS),
-        lambda: subset_sum(Tensor(np.ones((2, 1, 3))), [Tensor(np.ones((2, 1, 3)))] * 3, ((0, 3),)),
-        lambda: imagine(*_imagine_point(np.random.default_rng(0), 3, 6, q=1, d=2), gate_from=2),
-        lambda: imagine(*_imagine_point(np.random.default_rng(0), 2, 2, q=1, d=2), gate_from=2),
-        lambda: rmse_halves(Tensor(np.ones((3, 2)))),
-        lambda: mse(Tensor(np.ones(3)), Tensor(np.ones(4))),
-        lambda: weighted_sum([Tensor(np.ones(2)), Tensor(np.ones(3))], (1.0, 1.0)),
-    ],
-    ids=[
-        "cross_attention_dims", "cross_attention_rows", "subset_sum_weights", "subset_sum_index",
-        "imagine_context_rows", "imagine_gate_range", "rmse_halves_odd", "mse_shapes", "weighted_sum_shapes",
-    ],
-)
-def test_fused_op_shape_errors(build):
-    with pytest.raises(ShapeError):
-        build()
 
 
 def test_grad_check_rejects_bad_h():
