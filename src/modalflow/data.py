@@ -211,13 +211,10 @@ def read_tensor(directory, entry, name):
     shape, size = entry["shape"], entry["bytes"]
     if not isinstance(shape, list) or not all(_is_count(s) for s in shape) or not _is_count(size):
         raise DatasetError(f"load: tensor '{name}' needs a shape list and a byte count of non-negative ints")
-    shape = tuple(entry["shape"])
+    shape = tuple(shape)
     expected = int(np.prod(shape, dtype=np.int64)) * 8
-    if expected != int(entry["bytes"]):
-        raise DatasetError(
-            f"load: tensor '{name}' manifest shape {shape} "
-            f"inconsistent with declared {entry['bytes']} bytes"
-        )
+    if expected != size:
+        raise DatasetError(f"load: tensor '{name}' manifest shape {shape} inconsistent with declared {size} bytes")
     # read straight into the array's own (writable) buffer: one allocation per tensor, no copy
     raw = bytearray(expected)
     with (Path(directory) / entry["file"]).open("rb") as fh:
@@ -239,12 +236,8 @@ def require_object(value, where):
 
 
 def read_manifest(manifest_path):
-    """The JSON object in a manifest file; other content raises DatasetError."""
-    try:
-        manifest = json.loads(Path(manifest_path).read_text())
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"load: {manifest_path} is not valid JSON ({exc})") from None
-    return require_object(manifest, manifest_path)
+    """The JSON object in a manifest file; other JSON raises DatasetError."""
+    return require_object(json.loads(Path(manifest_path).read_text()), manifest_path)
 
 
 def check_dtype(manifest, where):
@@ -259,7 +252,7 @@ def _named_files(manifest_path):
     try:
         manifest = json.loads(manifest_path.read_text())
         groups = [manifest.get("tensors", {})] + [s.get("tensors", {}) for s in manifest.get("splits", {}).values()]
-        return {e.get("file") for g in groups for e in g.values()} - {None}
+        return {e.get("file") for g in groups for e in g.values()}
     except (OSError, ValueError, AttributeError, TypeError):
         return set()
 

@@ -557,17 +557,18 @@ def subset_sum(w, R, subsets, mean=False):
     """Weighted sums over subsets of the tensors R, on rows of axis -2.
 
     w is [..., q, M] and each R[i] is [..., q, D]. Subset s gives the rows
-    sum of w[..., i:i+1] * R[i] over i in s, added in s's order; the subsets'
-    rows are concatenated on axis -2, or, with `mean`, averaged over it. The
-    chain of `narrow`, `mul`, `add` and `concat` (or `mean`) nodes as one node.
+    sum of w[..., i:i+1] * R[i] over i in s, added in s's order; the subsets,
+    which cover every index of R, give rows concatenated on axis -2, or, with
+    `mean`, averaged over it. The chain of `narrow`, `mul`, `add` and
+    `concat` (or `mean`) nodes as one node.
     """
     w = _lift(w)
     R = [_lift(t) for t in R]
     if w.ndim < 2 or w.shape[-1] != len(R) or any(t.shape[:-1] != w.shape[:-1] for t in R):
         shapes = [t.shape for t in R]
         raise ShapeError(f"subset_sum: need w [..., q, {len(R)}] and R [..., q, D], got {w.shape}, {shapes}")
-    if not subsets or any(not s or not all(0 <= i < len(R) for i in s) for s in subsets):
-        raise ShapeError(f"subset_sum: subsets {subsets} must be non-empty index tuples below {len(R)}")
+    if any(not s for s in subsets) or {i for s in subsets for i in s} != set(range(len(R))):
+        raise ShapeError(f"subset_sum: subsets {subsets} must be non-empty and cover the indices below {len(R)}")
     wv = w.values
     terms = [wv[..., i : i + 1] * t.values for i, t in enumerate(R)]
     rows = []
@@ -590,15 +591,8 @@ def subset_sum(w, R, subsets, mean=False):
         for s, piece in zip(subsets, pieces):
             for i in s:
                 g_terms[i] = piece if g_terms[i] is None else g_terms[i] + piece
-        gw = np.zeros(w.shape)
-        gR = []
-        for i, (t, gt) in enumerate(zip(R, g_terms)):
-            if gt is None:
-                gR.append(None)
-                continue
-            gw[..., i : i + 1] = (gt * t.values).sum(axis=-1, keepdims=True)
-            gR.append(gt * wv[..., i : i + 1])
-        return (gw, *gR)
+        gw = np.concatenate([(gt * t.values).sum(axis=-1, keepdims=True) for t, gt in zip(R, g_terms)], axis=-1)
+        return (gw, *(gt * wv[..., i : i + 1] for i, gt in enumerate(g_terms)))
 
     return _result("subset_sum", out, (w, *R), bwd)
 
