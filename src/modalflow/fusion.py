@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .imagination import MIAParams, mia_forward
-from .nn import AffineLayer, ParamStore, gaussian_leaf, init_affine, zeros_leaf
+from .nn import AffineLayer, ParamStore, gaussian_leaf, require_positive, zeros_leaf
 from .tensor import Tensor, concat, cross_attention, softmax, subset_sum
 
 MODALITIES = ("a", "v", "t")  # audio, vision, text; order fixed
@@ -57,8 +57,7 @@ class ModelConfig:
             raise ValueError("model config: mia_hidden must be smaller than 3*dim")
         if self.tau_attn is None:
             self.tau_attn = math.sqrt(self.dim)
-        if self.tau_attn <= 0:
-            raise ValueError("model config: tau_attn must be positive")
+        require_positive("model config: tau_attn", self.tau_attn)
 
 
 @dataclass
@@ -89,31 +88,41 @@ class FlowOutputs:
     y_hat: Tensor  # [...]
 
 
-def init_model(config, raw_dims, seed):
-    """All learnable weights, Gaussian N(0, 0.02^2), zero biases; deterministic per seed.
+def param_shapes(config, raw_dims):
+    """Name -> shape of every model parameter, in store order, which is the
+    order `init_model` draws them in. `raw_dims` maps each modality to its
+    raw feature size (the data's last axis), the input size of that
+    modality's projection."""
+    d, hidden = config.dim, config.mia_hidden
+    shapes = {}
 
-    `raw_dims` maps each modality to its raw feature size (the data's last
-    axis), the input size of that modality's projection.
-    """
-    rng = np.random.default_rng(seed)
-    store = ParamStore()
-    d = config.dim
+    def affine(prefix, in_dim, out_dim):
+        shapes[f"{prefix}.W"] = (in_dim, out_dim)
+        shapes[f"{prefix}.b"] = (out_dim,)
+
     for m in MODALITIES:
-        init_affine(rng, store, f"proj.{m}", raw_dims[m], d)
+        affine(f"proj.{m}", raw_dims[m], d)
     for m in MODALITIES:
-        store.register(f"query.{m}", gaussian_leaf(rng, (1, d)))
+        shapes[f"query.{m}"] = (1, d)
     for stage in ("s1", "s2"):
         for m in MODALITIES:
-            init_affine(rng, store, f"{stage}.{m}.val", d, d)
-            init_affine(rng, store, f"{stage}.{m}.key", d, d)
-    init_affine(rng, store, "afg1", 3 * d, 3)
-    init_affine(rng, store, "afg2", 3 * d, 3)
-    init_affine(rng, store, "head", d, 1)
+            affine(f"{stage}.{m}.val", d, d)
+            affine(f"{stage}.{m}.key", d, d)
+    affine("afg1", 3 * d, 3)
+    affine("afg2", 3 * d, 3)
+    affine("head", d, 1)
     for tag in ("mia1", "mia2"):
-        store.register(f"{tag}.W1", gaussian_leaf(rng, (3 * d, config.mia_hidden)))
-        store.register(f"{tag}.b1", zeros_leaf((config.mia_hidden,)))
-        store.register(f"{tag}.W2", gaussian_leaf(rng, (config.mia_hidden, d)))
-        store.register(f"{tag}.b2", zeros_leaf((d,)))
+        shapes.update({f"{tag}.W1": (3 * d, hidden), f"{tag}.b1": (hidden,), f"{tag}.W2": (hidden, d), f"{tag}.b2": (d,)})
+    return shapes
+
+
+def init_model(config, raw_dims, seed):
+    """All learnable weights of `param_shapes`, Gaussian N(0, 0.02^2), and
+    zero biases (the 1-D parameters); deterministic per seed."""
+    rng = np.random.default_rng(seed)
+    store = ParamStore()
+    for name, shape in param_shapes(config, raw_dims).items():
+        store.register(name, zeros_leaf(shape) if len(shape) == 1 else gaussian_leaf(rng, shape))
     return store
 
 

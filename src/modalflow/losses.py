@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nn import require_positive
 from .tensor import Tensor, mse, rank_contrast, rmse_halves, weighted_sum
 
 
@@ -41,8 +42,7 @@ class LossWeights:
             w = getattr(self, name)
             if not math.isfinite(w) or w < 0:
                 raise ValueError(f"loss weight {name} must be finite and non-negative, got {w}")
-        if not self.tau_rnc > 0:
-            raise ValueError(f"tau_rnc must be positive, got {self.tau_rnc}")
+        require_positive("loss config: tau_rnc", self.tau_rnc)
 
 
 @dataclass

@@ -6,6 +6,7 @@ laid out in store order; its betas and epsilon are the module constants below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,13 @@ INIT_STD = 0.02
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+
+def require_positive(what, value):
+    """Raise ValueError naming `what` unless `value` is a finite positive
+    number: a learning rate or a temperature."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{what} must be a finite positive number, got {value!r}")
 
 
 class ParamStore(dict):
@@ -72,12 +80,6 @@ def zeros_leaf(shape):
     return Tensor(np.zeros(shape), requires_grad=True)
 
 
-def init_affine(rng, store, prefix, in_dim, out_dim):
-    W = store.register(f"{prefix}.W", gaussian_leaf(rng, (in_dim, out_dim)))
-    b = store.register(f"{prefix}.b", zeros_leaf((out_dim,)))
-    return AffineLayer(W, b)
-
-
 @dataclass
 class AdamState:
     """Learning rate, step count and the first and second moments, each one
@@ -97,7 +99,7 @@ def adam_step(state, params, grads):
     shape differs from its parameter's, a non-finite one, or a store whose size
     differs from the moments' rejects the whole step before any mutation. The
     update runs once over all parameters laid end to end, with the same
-    arithmetic per element as a per-parameter loop.
+    arithmetic per element as a per-parameter loop, in place on the moments.
     """
     items = list(params.items())
     if isinstance(grads, GradMap):
@@ -120,10 +122,23 @@ def adam_step(state, params, grads):
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (g * g)
-    update = state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPS)
-    values = np.concatenate([p.values for _, p in items], axis=None) - update
+    # in place, with the roundings of m = b1 * m + (1 - b1) * g, v = b2 * v
+    # + (1 - b2) * (g * g) and lr * (m / bc1) / (sqrt(v / bc2) + eps)
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    g *= g
+    g *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
+    v += g
+    update = m / bc1
+    update *= state.lr
+    np.divide(v, bc2, out=g)
+    np.sqrt(g, out=g)
+    g += ADAM_EPS
+    update /= g
+    values = np.concatenate([p.values for _, p in items], axis=None)
+    values -= update
     end = 0
     for _, p in items:
         start, end = end, end + p.size

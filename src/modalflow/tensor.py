@@ -9,10 +9,15 @@ through several different graphs per training step.
 Gradient accumulation follows the multivariate chain rule: a leaf used in
 several places receives the sum of the per-use gradients. A computation graph
 is confined to one thread; tensors themselves are plain value holders and may
-be shared read-only.
+be shared read-only. ``profile`` times every op, forward and backward, on the
+thread that turns it on.
 """
 
 from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
+from time import perf_counter
 
 import numpy as np
 
@@ -116,6 +121,8 @@ def _lift(x):
 
 def _result(op, values, parents, backward_fn):
     out = Tensor(values)
+    if _profile is not None:
+        backward_fn = _profile.charge_forward(op, backward_fn)
     if any(p.attached for p in parents):
         out.op = op
         out.parents = tuple(parents)
@@ -205,7 +212,7 @@ def _affine_grads(g, xv, Wv, need_x, need_W):
     rows = g.reshape(-1, g.shape[-1])
     gx = (rows @ np.ascontiguousarray(Wv.T)).reshape(xv.shape) if need_x else None
     gW = xv.reshape(-1, xv.shape[-1]).T @ rows if need_W else None
-    return gx, gW, _unbroadcast(g, Wv.shape[1:])
+    return gx, gW, rows.sum(0)
 
 
 def _check_affine(op, x_shape, W, b):
@@ -277,12 +284,19 @@ def narrow(a, axis, start, stop):
     return _result("slice", a.values[index].copy(), (a,), bwd)
 
 
+def _tanh_slope(y):
+    """1 - y**2, the derivative of tanh at its output y, as a new array."""
+    slope = y * y
+    np.subtract(1.0, slope, out=slope)
+    return slope
+
+
 def tanh(a):
     a = _lift(a)
     y = np.tanh(a.values)
 
     def bwd(g):
-        return (g * (1.0 - y * y),)
+        return (g * _tanh_slope(y),)
 
     return _result("tanh", y, (a,), bwd)
 
@@ -311,16 +325,33 @@ def square(a):
     return _result("square", av * av, (a,), bwd)
 
 
-def _softmax_rows(z):
-    """Softmax along the last axis of a numpy array, with max-subtraction."""
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def _row_max(z):
+    """z.max(axis=-1, keepdims=True) as np.maximum over halves of the last
+    axis: exact, and faster than a reduction over a short last axis."""
+    while z.shape[-1] > 1:
+        half = z.shape[-1] // 2
+        top = np.maximum(z[..., :half], z[..., half : 2 * half])
+        if z.shape[-1] % 2:
+            np.maximum(top[..., :1], z[..., -1:], out=top[..., :1])
+        z = top
+    return z
 
 
-def _softmax_rows_grad(g, y):
-    """Gradient of the scores from the gradient g of softmax output y."""
-    return (g - (g * y).sum(axis=-1, keepdims=True)) * y
+def _softmax_rows(z, out=None):
+    """Softmax along the last axis of a numpy array, with max-subtraction,
+    written into `out` (z itself when z is a buffer the caller owns)."""
+    y = np.subtract(z, _row_max(z), out=out)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    return y
+
+
+def _softmax_rows_grad(g, y, out=None):
+    """Gradient of the scores from the gradient g of softmax output y,
+    written into `out` (g itself when g is a buffer the caller owns)."""
+    gz = np.subtract(g, np.einsum("...i,...i->...", g, y)[..., None], out=out)
+    gz *= y
+    return gz
 
 
 def softmax(a):
@@ -367,19 +398,34 @@ def _unview(out, Q, qv):
 
 def _attention_values(qv, kv, vv, tau):
     """(softmax(q k^T / tau) v, the softmax weights)."""
-    y = _softmax_rows(np.matmul(qv, np.swapaxes(kv, -1, -2)) / tau)
+    scores = np.matmul(qv, kv.mT)
+    scores /= tau
+    y = _softmax_rows(scores, out=scores)
     return np.matmul(y, vv), y
 
 
 def _attention_grads(g, qv, kv, vv, y, tau, need_q, need_k, need_v):
-    """Gradients of q, k and v from the gradient g of the attention output."""
-    # stage by stage, with the numpy calls and order of separate view,
-    # product, softmax and product nodes, so the gradients keep their bits
-    kt = np.swapaxes(kv, -1, -2)
-    gv = _unbroadcast(np.matmul(np.swapaxes(y, -1, -2), g), vv.shape) if need_v else None
-    gz = _softmax_rows_grad(np.matmul(g, np.swapaxes(vv, -1, -2)), y) / tau
-    gq = _unbroadcast(np.matmul(gz, np.swapaxes(kt, -1, -2)), qv.shape) if need_q else None
-    gk = np.swapaxes(_unbroadcast(np.matmul(np.swapaxes(qv, -1, -2), gz), kt.shape), -1, -2) if need_k else None
+    """Gradients of q, k and v from the gradient g of the attention output.
+
+    With one query row, the products of y or the score gradient with that
+    row are outer products, taken as broadcast products. A 2-D q shared by a
+    batch of keys gets its gradient, a sum over the batch, as one GEMM over
+    the folded batch rows."""
+    one_row = y.shape[-2] == 1
+    gv = None
+    if need_v:
+        gv = _unbroadcast(y.mT * g if one_row else np.matmul(y.mT, g), vv.shape)
+    gz = np.matmul(g, vv.mT)
+    _softmax_rows_grad(gz, y, out=gz)
+    gz /= tau
+    gq = gk = None
+    if need_q:
+        if qv.ndim == 2 and kv.ndim == 3:
+            gq = np.swapaxes(gz, 0, 1).reshape(len(qv), -1) @ kv.reshape(-1, kv.shape[-1])
+        else:
+            gq = _unbroadcast(np.matmul(gz, kv), qv.shape)
+    if need_k:
+        gk = _unbroadcast(gz.mT * qv if one_row else np.matmul(gz.mT, qv), kv.shape)
     return gq, gk, gv
 
 
@@ -518,10 +564,13 @@ def _normalize_axes(a, axis):
 # -- fused blocks -----------------------------------------------------------------
 #
 # Each op below is one graph node for a block of the model that would otherwise
-# be a chain of the primitives above. Its forward makes the numpy calls of that
-# chain in the same order, so its output keeps their bits, and its backward
-# replays their backward steps in reverse; only where the chain's gradients
-# fanned in across nodes can the sum order, and so the rounding, differ.
+# be a chain of the primitives above. Its forward runs the arithmetic of that
+# chain in the same order, so its output keeps their bits; it may work in place
+# on arrays it made itself. Its backward replays the chain's backward steps in
+# reverse, in place where it owns the array, and may take a product in another
+# form (a broadcast product for an outer product, one GEMM for a sum of
+# products), so the gradients keep their values up to rounding. The incoming
+# gradient and every forward value stay untouched: other closures read them.
 
 
 def cross_attention(Q, E, Wv, bv, Wk, bk, tau):
@@ -536,7 +585,8 @@ def cross_attention(Q, E, Wv, bv, Wk, bk, tau):
     tau = _check_tau("cross_attention", tau)
     ev, Wvv, Wkv = E.values, Wv.values, Wk.values
     vv = _affine_values(ev, Wvv, bv.values)
-    kv = np.tanh(_affine_values(vv, Wkv, bk.values))
+    kv = _affine_values(vv, Wkv, bk.values)
+    np.tanh(kv, out=kv)
     qv = _query_view("cross_attention", Q, kv.shape, vv.shape)
     out, y = _attention_values(qv, kv, vv, tau)
     need_kv = any(t.attached for t in (E, Wv, bv, Wk, bk))
@@ -546,8 +596,10 @@ def cross_attention(Q, E, Wv, bv, Wk, bk, tau):
         gq = None if gq is None else gq.reshape(Q.shape)
         if not need_kv:
             return gq, None, None, None, None, None
-        gv_key, gWk, gbk = _affine_grads(gk * (1.0 - kv * kv), vv, Wkv, True, Wk.attached)
-        gE, gWv, gbv = _affine_grads(gv + gv_key, ev, Wvv, E.attached, Wv.attached)
+        gk *= _tanh_slope(kv)
+        gv_key, gWk, gbk = _affine_grads(gk, vv, Wkv, True, Wk.attached)
+        gv += gv_key
+        gE, gWv, gbv = _affine_grads(gv, ev, Wvv, E.attached, Wv.attached)
         return gq, gE, gWv, gbv, gWk, gbk
 
     return _result("cross_attention", _unview(out, Q, qv), (Q, E, Wv, bv, Wk, bk), bwd)
@@ -627,15 +679,18 @@ def imagine(R_v, R_a, R_t, W1, b1, W2, b2, gate_from=0):
     ctx = [c.values[gate_from:] if c.shape[0] == rows else c.values for c in (R_v, R_a)]
     x = np.concatenate(ctx + [gated], axis=-1)
     W1v, W2v = W1.values, W2.values
-    h = np.tanh(_affine_values(x, W1v, b1.values))
-    res = np.tanh(_affine_values(h, W2v, b2.values))
+    h = _affine_values(x, W1v, b1.values)
+    np.tanh(h, out=h)
+    res = _affine_values(h, W2v, b2.values)
+    np.tanh(res, out=res)
     new = gated + res
     out = np.concatenate([tv[:gate_from], new], axis=0) if gate_from else new
 
     def bwd(g):
         g_new = g[gate_from:]
-        gh, gW2, gb2 = _affine_grads(g_new * (1.0 - res * res), h, W2v, True, W2.attached)
-        gx, gW1, gb1 = _affine_grads(gh * (1.0 - h * h), x, W1v, True, W1.attached)
+        gh, gW2, gb2 = _affine_grads(g_new * _tanh_slope(res), h, W2v, True, W2.attached)
+        gh *= _tanh_slope(h)
+        gx, gW1, gb1 = _affine_grads(gh, x, W1v, True, W1.attached)
         g_ctx_v, g_ctx_a, g_x = np.split(gx, [d, 2 * d], axis=-1)
         gR_t = np.empty(R_t.shape)
         gR_t[:gate_from] = g[:gate_from]
@@ -732,17 +787,14 @@ class GradMap:
     """
 
     def __init__(self, leaf_grads):
-        # id -> (tensor, grad); tensors kept alive so ids stay unique
-        self._grads = leaf_grads
+        self._grads = leaf_grads  # leaf tensor -> gradient
 
     def get(self, tensor):
-        entry = self._grads.get(id(tensor))
-        if entry is None:
-            return np.zeros(tensor.shape)
-        return entry[1]
+        g = self._grads.get(tensor)
+        return np.zeros(tensor.shape) if g is None else g
 
     def __contains__(self, tensor):
-        return id(tensor) in self._grads
+        return tensor in self._grads
 
 
 def backward(loss):
@@ -751,7 +803,14 @@ def backward(loss):
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
     if not loss.parents:
         raise ValueError("backward: loss is detached from any graph")
+    if _profile is not None:
+        return _profile.time_sweep(_sweep, loss)
+    return _sweep(loss)
 
+
+def _sweep(loss):
+    # tensors hash by identity, so they key the dicts themselves; `attached`
+    # is spelled out, as this loop runs it once per graph edge
     topo = []
     visited = set()
     stack = [(loss, False)]
@@ -760,34 +819,111 @@ def backward(loss):
         if expanded:
             topo.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in visited and p.attached:
+            if p not in visited and (p.requires_grad or p.parents):
                 stack.append((p, False))
 
-    grads = {id(loss): np.ones_like(loss.values)}
+    grads = {loss: np.ones_like(loss.values)}
     leaves = {}
     for node in reversed(topo):
-        g = grads.pop(id(node), None)
+        g = grads.pop(node, None)
         if g is None:
             continue
         if node._backward_fn is not None:
-            parent_grads = node._backward_fn(g)
-            for p, pg in zip(node.parents, parent_grads):
-                if pg is None or not p.attached:
+            for p, pg in zip(node.parents, node._backward_fn(g)):
+                if pg is None or not (p.requires_grad or p.parents):
                     continue
-                key = id(p)
-                if key in grads:
-                    grads[key] = grads[key] + pg
+                if p in grads:
+                    grads[p] = grads[p] + pg
                 else:
-                    grads[key] = pg
+                    grads[p] = pg
         elif node.requires_grad:
-            prev = leaves.get(id(node))
-            leaves[id(node)] = (node, g if prev is None else prev[1] + g)
+            leaves[node] = g
     return GradMap(leaves)
+
+
+# -- op profiler ----------------------------------------------------------------
+
+_profile = None  # the OpProfile that `profile` has turned on, or None
+
+
+class OpProfile:
+    """Seconds per op name, forward and backward, and the sweeps' own time.
+
+    An op's forward time is charged when `_result` makes its output: the time
+    since the previous output, the end of the previous sweep or the start of
+    the profile, whichever came last. It so includes its caller's Python work
+    since then, and work done after a sweep (an optimizer update, say) lands
+    on the next op; a profile per training step leaves that work out. An
+    op's backward time is the run time of its closures.
+    `sweep` is the rest of each `backward`: the topological sort and the
+    fan-in sums. Only the thread that turned the profile on is timed.
+    """
+
+    def __init__(self):
+        self.forward = {}  # op -> seconds
+        self.backward = {}  # op -> seconds
+        self.calls = {}  # op -> outputs made
+        self.sweep = 0.0
+        self._thread = threading.get_ident()
+        self._mark = perf_counter()
+        self._in_closures = 0.0
+
+    def charge_forward(self, op, backward_fn):
+        """Charge op's forward time; returns its closure, timed."""
+        if threading.get_ident() != self._thread:
+            return backward_fn
+        now = perf_counter()
+        self.forward[op] = self.forward.get(op, 0.0) + (now - self._mark)
+        self.calls[op] = self.calls.get(op, 0) + 1
+        self._mark = now
+
+        def timed(g):
+            start = perf_counter()
+            grads = backward_fn(g)
+            spent = perf_counter() - start
+            self.backward[op] = self.backward.get(op, 0.0) + spent
+            self._in_closures += spent
+            return grads
+
+        return timed
+
+    def time_sweep(self, sweep, loss):
+        if threading.get_ident() != self._thread:
+            return sweep(loss)
+        start, in_closures = perf_counter(), self._in_closures
+        grads = sweep(loss)
+        self._mark = perf_counter()
+        self.sweep += self._mark - start - (self._in_closures - in_closures)
+        return grads
+
+    def rows(self):
+        """(op, outputs made, forward s, backward s), by total time, most first."""
+        ops = sorted(self.forward, key=lambda op: -(self.forward[op] + self.backward.get(op, 0.0)))
+        return [(op, self.calls[op], self.forward[op], self.backward.get(op, 0.0)) for op in ops]
+
+    def total(self):
+        """Every second charged: forward, backward and sweep."""
+        return sum(self.forward.values()) + sum(self.backward.values()) + self.sweep
+
+
+@contextmanager
+def profile():
+    """Time every op, forward and backward, for the `with` block; yields the
+    OpProfile it fills. Off, it costs one check in `_result` and one in
+    `backward`."""
+    global _profile
+    if _profile is not None:
+        raise RuntimeError("profile: a profile is already on")
+    _profile = OpProfile()
+    try:
+        yield _profile
+    finally:
+        _profile = None
 
 
 def ancestors(tensor):

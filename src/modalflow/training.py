@@ -32,6 +32,7 @@ import numpy as np
 
 from .data import (
     TENSOR_DTYPE,
+    DatasetError,
     batch_iter,
     check_dtype,
     config_from,
@@ -43,9 +44,9 @@ from .data import (
     start_save,
     write_tensor,
 )
-from .fusion import MODALITIES, ModelConfig, init_model, param_views, project_modality, umca_forward
+from .fusion import MODALITIES, ModelConfig, init_model, param_shapes, param_views, project_modality, umca_forward
 from .losses import LossWeights, make_report, mkd_loss, rnc_loss, rs_loss, task_loss, total_loss
-from .nn import AdamState, adam_step
+from .nn import AdamState, adam_step, require_positive
 from .tensor import Tensor, backward
 
 HISTORY_COLUMNS = (
@@ -75,8 +76,7 @@ class TrainConfig:
             raise ValueError("train config: need 0 <= patience <= epochs")
         if self.batch_size < 2:
             raise ValueError("train config: batch_size must be >= 2 (rank contrast needs pairs)")
-        if self.lr <= 0:
-            raise ValueError("train config: lr must be positive")
+        require_positive("train config: lr", self.lr)
         if self.eval_acc_rule not in ACC_RULES:
             raise ValueError(f"train config: eval_acc_rule must be one of {ACC_RULES}")
 
@@ -423,10 +423,7 @@ def load_checkpoint(path):
             raise ValueError(f"checkpoint tensor '{key}': name must be 'param:<parameter name>'")
         params[name] = read_tensor(path, entry, key)
     model_config = config_from(ModelConfig, manifest, "model_config", manifest_path)
-    try:
-        param_views(params, model_config)
-    except KeyError as exc:
-        raise ValueError(f"checkpoint at {path} lacks model parameter 'param:{exc.args[0]}'") from None
+    _check_param_shapes(params, model_config, path)
     return Checkpoint(
         params=params,
         epoch=int(manifest["epoch"]),
@@ -435,6 +432,26 @@ def load_checkpoint(path):
         train_config=config_from(TrainConfig, manifest, "train_config", manifest_path),
         ablation=config_from(AblationSpec, manifest, "ablation", manifest_path),
     )
+
+
+def _check_param_shapes(params, model_config, path):
+    """Every model parameter is present with the shape `init_model` gives it
+    for the stored config and the raw sizes of the projection weights, and
+    no other parameter is; else DatasetError naming the parameter."""
+    proj = {m: params.get(f"proj.{m}.W") for m in MODALITIES}
+    raw_dims = {m: W.shape[0] if W is not None and W.ndim == 2 else None for m, W in proj.items()}
+    shapes = param_shapes(model_config, raw_dims)
+    for name, shape in shapes.items():
+        if name not in params:
+            raise DatasetError(f"load: checkpoint at {path} lacks model parameter 'param:{name}'")
+        if params[name].shape != shape:
+            raise DatasetError(
+                f"load: checkpoint parameter 'param:{name}' has shape {params[name].shape}, "
+                f"the model config gives {shape}"
+            )
+    for name in params:
+        if name not in shapes:
+            raise DatasetError(f"load: checkpoint parameter 'param:{name}' is not a model parameter")
 
 
 # -- ablation runner --------------------------------------------------------------------

@@ -4,10 +4,11 @@ import shutil
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from modalflow.cli import main
-from modalflow.data import load_dataset, save_dataset
+from modalflow.data import load_dataset, save_dataset, write_tensor
 
 TINY = {
     "synth": {
@@ -206,6 +207,23 @@ def test_eval_checkpoint_without_parameter_fails_cleanly(workdir, tmp_path, caps
     code = main(["eval", "--checkpoint", str(ckpt), "--data", str(workdir["data"])])
     assert code == 1
     assert "lacks model parameter 'param:head.W'" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_with_a_wrong_parameter_shape_fails_cleanly(workdir, tmp_path, capsys):
+    """Query rows re-declared as [2, dim]: a model that training cannot
+    produce, refused at load with the parameter's name."""
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(workdir["run"] / "checkpoint", ckpt)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    dim = TINY["model"]["dim"]
+    for m in ("a", "v", "t"):
+        manifest["tensors"][f"param:query.{m}"] = write_tensor(ckpt, f"query_{m}.bin", np.ones((2, dim)))
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(workdir["data"])])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "'param:query.a' has shape (2, 4), the model config gives (1, 4)" in err
 
 
 def test_bad_config_file_exit_code(tmp_path, capsys):

@@ -107,6 +107,40 @@ def test_malformed_overrides(item):
         apply_overrides({}, [item])
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("train", "lr", float("nan")),
+        ("train", "lr", float("inf")),
+        ("train", "lr", "nan"),
+        ("model", "tau_attn", float("inf")),
+        ("model", "tau_attn", float("nan")),
+        ("model", "tau_attn", "2"),
+        ("loss", "tau_rnc", float("inf")),
+        ("loss", "tau_rnc", float("nan")),
+        ("loss", "tau_rnc", [2.0]),
+    ],
+    ids=["lr_nan", "lr_inf", "lr_str", "tau_attn_inf", "tau_attn_nan", "tau_attn_str",
+         "tau_rnc_inf", "tau_rnc_nan", "tau_rnc_list"],
+)
+def test_non_finite_or_non_numeric_value_rejected_naming_the_field(section, key, value):
+    with pytest.raises(ConfigError, match=rf"'{section}'.* {key} must be a finite positive number"):
+        build_config({section: {key: value}})
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+def test_json_non_finite_learning_rate_rejected(tmp_path, text):
+    """json.loads reads NaN and Infinity, so a config file can carry them."""
+    with pytest.raises(ConfigError, match="lr must be a finite positive number"):
+        load_config(write(tmp_path, '{"train": {"lr": %s}}' % text))
+
+
+def test_override_that_is_not_a_number_rejected_naming_the_field(tmp_path):
+    """`nan` is not JSON, so the override reaches the config as a string."""
+    with pytest.raises(ConfigError, match="lr must be a finite positive number, got 'nan'"):
+        load_config(write(tmp_path, "{}"), overrides=["train.lr=nan"])
+
+
 def test_config_echo_roundtrip(tmp_path):
     cfg = build_config({"train": {"epochs": 4, "patience": 1}, "loss": {"delta": 0.0}})
     write_config_echo(cfg, tmp_path)

@@ -14,6 +14,7 @@ from modalflow.fusion import (
     cross_attend,
     init_model,
     multiview_queries,
+    param_shapes,
     param_views,
     project_modality,
     regress,
@@ -66,6 +67,19 @@ def test_init_model_deterministic_and_complete():
     umca, mia1, mia2 = param_views(a, cfg)
     assert umca.head.out_dim == 1
     assert mia1.W1 is a["mia1.W1"] and mia2.W1 is a["mia2.W1"]
+
+
+def test_init_model_follows_the_shape_table():
+    """init_model registers the parameters of param_shapes in its order,
+    with those shapes; the biases (the 1-D ones) start at zero."""
+    cfg = tiny_model_config()
+    store = init_model(cfg, TINY_RAW_DIMS, seed=0)
+    shapes = param_shapes(cfg, TINY_RAW_DIMS)
+    assert [(name, p.shape) for name, p in store.items()] == list(shapes.items())
+    assert len(shapes) == 47
+    for name, p in store.items():
+        assert p.requires_grad
+        assert (not p.values.any()) == (p.ndim == 1), name
 
 
 # -- projection -----------------------------------------------------------------------

@@ -11,7 +11,6 @@ from modalflow.nn import (
     ParamStore,
     adam_step,
     gaussian_leaf,
-    init_affine,
     zeros_leaf,
 )
 from modalflow.tensor import Tensor, backward, grad_check
@@ -34,14 +33,6 @@ def test_init_statistics_within_five_sigma():
     # sample mean ~ N(0, std/sqrt(n)); sample std has sd ~ std/sqrt(2n)
     assert abs(w.mean()) < 5 * INIT_STD / np.sqrt(n)
     assert abs(w.std(ddof=1) - INIT_STD) < 5 * INIT_STD / np.sqrt(2 * n)
-
-
-def test_init_affine_zero_bias_and_registration():
-    store = ParamStore()
-    layer = init_affine(np.random.default_rng(0), store, "lin", 4, 3)
-    assert np.array_equal(layer.b.values, np.zeros(3))
-    assert set(store) == {"lin.W", "lin.b"}
-    assert store["lin.W"] is layer.W
 
 
 def test_store_rejects_duplicates_and_constants():

@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 import modalflow.fusion as fusion
+import modalflow.tensor as tensor
 import modalflow.training as training
 from builders import TINY_RAW_DIMS, tiny_model_config
 from modalflow.data import DatasetError, SynthConfig, batch_iter, generate_dataset, write_tensor
 from modalflow.fusion import MODALITIES, ModelConfig, init_model
 from modalflow.losses import LossWeights
 from modalflow.nn import AdamState
-from modalflow.tensor import Tensor, ancestors, backward
+from modalflow.tensor import Tensor, ancestors, backward, profile
 from modalflow.training import (
     ABLATION_COLUMNS,
     DEFAULT_ABLATION_GRID,
@@ -273,8 +274,9 @@ def test_train_step_short_final_batch(tiny_data):
     assert all(np.isfinite(report.as_row()))
 
 
-def _default_step_graph(monkeypatch):
-    """Every node of one default-config batch-32 step's loss graph, loss first."""
+def _default_step_graph(monkeypatch, before_sweep=None):
+    """Every node of one default-config batch-32 step's loss graph, loss
+    first; `before_sweep`, if given, sees that list before the backward sweep."""
     model = ModelConfig()
     synth = SynthConfig(n_train=32, n_val=1, n_test=1)
     data = generate_dataset(synth)
@@ -283,6 +285,8 @@ def _default_step_graph(monkeypatch):
 
     def recording(loss):
         graphs.append([loss] + ancestors(loss))
+        if before_sweep is not None:
+            before_sweep(graphs[-1])
         return backward(loss)
 
     monkeypatch.setattr(training, "backward", recording)
@@ -314,6 +318,82 @@ def test_default_config_step_graph_size(monkeypatch):
     ops = [n.op for n in nodes]
     assert ops.count("cross_attention") == 6 and ops.count("softmax") == 2
     assert ops.count("imagine") == 2 and ops.count("concat") == 4
+
+
+def test_backward_closures_write_only_their_own_buffers(monkeypatch):
+    """The fused ops work in place, so in one default step every backward
+    closure must leave alone its incoming gradient, the gradients that
+    closures before it returned (`concat` and `reshape` hand views of one
+    gradient to several parents) and every node's forward values."""
+    returned = []  # (array a closure returned, its copy)
+    called = []
+
+    def guard(nodes):
+        values = [(n, n.values.copy()) for n in nodes]
+
+        def wrap(node, fn):
+            def run(g):
+                incoming = g.copy()
+                grads = fn(g)
+                assert np.array_equal(g, incoming), f"{node.op} wrote into its incoming gradient"
+                for arr, copy in returned:
+                    assert np.array_equal(arr, copy), f"{node.op} wrote into a gradient an earlier closure returned"
+                for n, copy in values:
+                    assert np.array_equal(n.values, copy), f"{node.op} wrote into the forward values of a node ({n.op or 'leaf'})"
+                returned.extend((pg, pg.copy()) for pg in grads if pg is not None)
+                called.append(node.op)
+                return grads
+
+            return run
+
+        for n in nodes:
+            if n._backward_fn is not None:
+                n._backward_fn = wrap(n, n._backward_fn)
+
+    nodes = _default_step_graph(monkeypatch, guard)
+    assert sorted(called) == sorted(n.op for n in nodes if n.op is not None)
+
+
+def test_profile_names_every_op_of_the_default_step(monkeypatch):
+    with profile() as prof:
+        nodes = _default_step_graph(monkeypatch)
+    ops = {n.op for n in nodes if n.op is not None}
+    assert ops <= set(prof.forward) and ops <= set(prof.backward)
+    assert {op for op, *_ in prof.rows()} == set(prof.forward)
+    assert prof.sweep > 0
+    assert tensor._profile is None
+
+
+def test_profile_totals_match_the_step_wall_time():
+    """Forward, backward and sweep time add up to the wall time of a run of
+    default steps, less the last step's Adam update and the loss reports."""
+    model = ModelConfig()
+    synth = SynthConfig(n_train=192, n_val=1, n_test=1)
+    batches = list(batch_iter(generate_dataset(synth)["train"], 32))
+    store = init_model(model, {m: synth.raw_dim(m) for m in MODALITIES}, seed=0)
+    optimizer = AdamState()
+    train_step(batches[0], store, model, optimizer, LossWeights())  # warm-up
+    start = time.perf_counter()
+    with profile() as prof:
+        for batch in batches[1:]:
+            train_step(batch, store, model, optimizer, LossWeights())
+    wall = time.perf_counter() - start
+    assert abs(prof.total() - wall) <= 0.1 * wall, (prof.total(), wall)
+
+
+def test_profile_leaves_fit_unchanged(tiny_data, tiny_train_config, fitted):
+    with profile():
+        checkpoint, history = fit(tiny_data, MODEL, tiny_train_config)
+    assert history == fitted[1]
+    assert all(np.array_equal(checkpoint.params[k], fitted[0].params[k]) for k in checkpoint.params)
+
+
+def test_profile_does_not_nest():
+    with profile():
+        with pytest.raises(RuntimeError, match="already on"):
+            with profile():
+                pass
+    assert tensor._profile is None
 
 
 def test_every_step_op_has_a_primitive_grad_case(monkeypatch):
@@ -821,6 +901,41 @@ def test_load_checkpoint_rejects_a_manifest_part_that_is_not_an_object(fitted, t
     replaced = edit(manifest)
     mpath.write_text(json.dumps(manifest if replaced is None else replaced))
     with pytest.raises(DatasetError, match=f"{where} must be a JSON object"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def _redeclare(ckpt, shapes):
+    """Replace the named parameters of a saved checkpoint with zero arrays of
+    the given shapes, or add them when the checkpoint lacks them."""
+    mpath = ckpt / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    for name, shape in shapes.items():
+        manifest["tensors"][f"param:{name}"] = write_tensor(ckpt, f"x_{name}.bin", np.zeros(shape))
+    mpath.write_text(json.dumps(manifest))
+
+
+D = MODEL.dim
+
+
+@pytest.mark.parametrize(
+    "shapes, match",
+    [
+        ({f"query.{m}": (2, D) for m in MODALITIES}, r"'param:query\.a' has shape \(2, 3\), the model config gives \(1, 3\)"),
+        ({"mia1.W1": (MODEL.mia_hidden, 3 * D)}, r"'param:mia1\.W1' has shape \(2, 9\)"),
+        ({"s2.t.key.b": (D + 1,)}, r"'param:s2\.t\.key\.b' has shape \(4,\)"),
+        ({"proj.v.W": (TINY_RAW_DIMS["v"], D + 1)}, r"'param:proj\.v\.W' has shape \(2, 4\)"),
+        ({"proj.a.b": (D + 1,)}, r"'param:proj\.a\.b' has shape \(4,\)"),
+        ({"proj.t.W": (TINY_RAW_DIMS["t"],)}, r"'param:proj\.t\.W' has shape \(4,\)"),
+        ({"extra": (1,)}, r"'param:extra' is not a model parameter"),
+    ],
+    ids=["query_rows", "mia_transposed", "key_bias", "proj_out", "proj_bias", "proj_1d", "extra"],
+)
+def test_load_checkpoint_checks_every_parameter_shape(fitted, tmp_path, shapes, match):
+    """Each parameter must have the shape init_model gives it for the stored
+    model config and the raw sizes the projection weights declare."""
+    save_checkpoint(fitted[0], tmp_path / "ckpt")
+    _redeclare(tmp_path / "ckpt", shapes)
+    with pytest.raises(DatasetError, match=match):
         load_checkpoint(tmp_path / "ckpt")
 
 
