@@ -208,11 +208,12 @@ def _affine_grads(g, xv, Wv, need_x, need_W):
     """Gradients of x, W and b from the gradient g of x @ W + b."""
     # W is shared by every leading row of x, so both gradients are one GEMM
     # over the folded rows; a GEMM against a contiguous copy of W^T measured
-    # faster than against the view
+    # faster than against the view, and b's, the sum of the rows, is a GEMV,
+    # 2-5x faster than rows.sum(0) at 256-896 rows
     rows = g.reshape(-1, g.shape[-1])
     gx = (rows @ np.ascontiguousarray(Wv.T)).reshape(xv.shape) if need_x else None
     gW = xv.reshape(-1, xv.shape[-1]).T @ rows if need_W else None
-    return gx, gW, rows.sum(0)
+    return gx, gW, np.ones(len(rows)) @ rows
 
 
 def _check_affine(op, x_shape, W, b):
@@ -643,7 +644,7 @@ def subset_sum(w, R, subsets, mean=False):
         for s, piece in zip(subsets, pieces):
             for i in s:
                 g_terms[i] = piece if g_terms[i] is None else g_terms[i] + piece
-        gw = np.concatenate([(gt * t.values).sum(axis=-1, keepdims=True) for t, gt in zip(R, g_terms)], axis=-1)
+        gw = np.stack([np.einsum("...d,...d->...", gt, t.values) for t, gt in zip(R, g_terms)], axis=-1)
         return (gw, *(gt * wv[..., i : i + 1] for i, gt in enumerate(g_terms)))
 
     return _result("subset_sum", out, (w, *R), bwd)
