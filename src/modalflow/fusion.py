@@ -112,7 +112,8 @@ def param_shapes(config, raw_dims):
     affine("afg2", 3 * d, 3)
     affine("head", d, 1)
     for tag in ("mia1", "mia2"):
-        shapes.update({f"{tag}.W1": (3 * d, hidden), f"{tag}.b1": (hidden,), f"{tag}.W2": (hidden, d), f"{tag}.b2": (d,)})
+        shapes.update({f"{tag}.W1": (3 * d, hidden), f"{tag}.b1": (hidden,)})
+        shapes.update({f"{tag}.W2": (hidden, d), f"{tag}.b2": (d,)})
     return shapes
 
 

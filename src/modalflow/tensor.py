@@ -421,7 +421,7 @@ def _attention_grads(g, qv, kv, vv, y, tau, need_q, need_k, need_v):
     gz /= tau
     gq = gk = None
     if need_q:
-        if qv.ndim == 2 and kv.ndim == 3:
+        if qv.ndim == 2 and kv.ndim == gz.ndim == 3:
             gq = np.swapaxes(gz, 0, 1).reshape(len(qv), -1) @ kv.reshape(-1, kv.shape[-1])
         else:
             gq = _unbroadcast(np.matmul(gz, kv), qv.shape)

@@ -339,7 +339,8 @@ def test_backward_closures_write_only_their_own_buffers(monkeypatch):
                 for arr, copy in returned:
                     assert np.array_equal(arr, copy), f"{node.op} wrote into a gradient an earlier closure returned"
                 for n, copy in values:
-                    assert np.array_equal(n.values, copy), f"{node.op} wrote into the forward values of a node ({n.op or 'leaf'})"
+                    where = f"the forward values of a node ({n.op or 'leaf'})"
+                    assert np.array_equal(n.values, copy), f"{node.op} wrote into {where}"
                 returned.extend((pg, pg.copy()) for pg in grads if pg is not None)
                 called.append(node.op)
                 return grads
@@ -920,7 +921,10 @@ D = MODEL.dim
 @pytest.mark.parametrize(
     "shapes, match",
     [
-        ({f"query.{m}": (2, D) for m in MODALITIES}, r"'param:query\.a' has shape \(2, 3\), the model config gives \(1, 3\)"),
+        (
+            {f"query.{m}": (2, D) for m in MODALITIES},
+            r"'param:query\.a' has shape \(2, 3\), the model config gives \(1, 3\)",
+        ),
         ({"mia1.W1": (MODEL.mia_hidden, 3 * D)}, r"'param:mia1\.W1' has shape \(2, 9\)"),
         ({"s2.t.key.b": (D + 1,)}, r"'param:s2\.t\.key\.b' has shape \(4,\)"),
         ({"proj.v.W": (TINY_RAW_DIMS["v"], D + 1)}, r"'param:proj\.v\.W' has shape \(2, 4\)"),
