@@ -565,9 +565,9 @@ def _normalize_axes(a, axis):
 # -- fused blocks -----------------------------------------------------------------
 #
 # Each op below is one graph node for a block of the model that would otherwise
-# be a chain of the primitives above. Its forward runs the arithmetic of that
-# chain in the same order, so its output keeps their bits; it may work in place
-# on arrays it made itself. Its backward replays the chain's backward steps in
+# be a chain of the primitives above. Its forward runs the same arithmetic as
+# that chain, in the same order, so its output keeps their bits; it may work in
+# place on arrays it made itself. Its backward replays the chain's backward steps in
 # reverse, in place where it owns the array, and may take a product in another
 # form (a broadcast product for an outer product, one GEMM for a sum of
 # products), so the gradients keep their values up to rounding. The incoming
