@@ -33,10 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .imagination import MIAParams, mia_forward
-from .nn import AffineLayer, ParamStore, gaussian_leaf, require_positive, zeros_leaf
+from .nn import AffineLayer, ParamStore, require_positive
 from .tensor import Tensor, concat, cross_attention, softmax, subset_sum
 
 MODALITIES = ("a", "v", "t")  # audio, vision, text; order fixed
+
+INIT_STD = 0.02  # of the Gaussian weights
 
 # Multi-view query rows, in fixed order.
 SUBSETS = (("a",), ("v",), ("t",), ("a", "v"), ("a", "t"), ("v", "t"), ("a", "v", "t"))
@@ -118,13 +120,17 @@ def param_shapes(config, raw_dims):
 
 
 def init_model(config, raw_dims, seed):
-    """All learnable weights of `param_shapes`, Gaussian N(0, 0.02^2), and
-    zero biases (the 1-D parameters); deterministic per seed."""
+    """A `ParamStore` of every parameter of `param_shapes`: weights drawn
+    from N(0, INIT_STD^2) in store order, and zero biases (the 1-D
+    parameters); deterministic per seed. A non-positive dimension, such as a
+    raw feature size of 0, raises ValueError naming the shape."""
     rng = np.random.default_rng(seed)
-    store = ParamStore()
+    arrays = {}
     for name, shape in param_shapes(config, raw_dims).items():
-        store.register(name, zeros_leaf(shape) if len(shape) == 1 else gaussian_leaf(rng, shape))
-    return store
+        if min(shape) <= 0:
+            raise ValueError(f"init: non-positive dimension in {shape} for parameter '{name}'")
+        arrays[name] = np.zeros(shape) if len(shape) == 1 else rng.normal(0.0, INIT_STD, size=shape)
+    return ParamStore(arrays)
 
 
 def param_views(params, config):

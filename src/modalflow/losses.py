@@ -59,12 +59,8 @@ class LossReport:
 
 
 def task_loss(y, y_hat):
-    """Mean squared error over a batch of valence predictions."""
-    y = y if isinstance(y, Tensor) else Tensor(y)
-    if y.shape != y_hat.shape:
-        raise ValueError(f"task_loss: label shape {y.shape} != prediction shape {y_hat.shape}")
-    if y.size == 0:
-        raise ValueError("task_loss: empty batch")
+    """Mean squared error over a batch of valence predictions; `tensor.mse`
+    rejects unequal or empty shapes."""
     return mse(y, y_hat)
 
 

@@ -1,7 +1,10 @@
-"""Parameterized layers, Gaussian initialization, and Adam over a flat store.
+"""Parameterized layers, the flat parameter store, and Adam over it.
 
-Adam's state is the learning rate, the step count and two flat moment arrays
-laid out in store order; its betas and epsilon are the module constants below.
+`ParamStore` lays every parameter end to end in one float64 array, `flat`;
+each parameter is a leaf whose `values` is a fixed view into it. Adam's state
+is the learning rate, the step count and two flat moment arrays in the same
+layout; its betas and epsilon are the module constants below. An Adam step
+updates `flat` in place, so every view sees it and no `values` is rebound.
 """
 
 from __future__ import annotations
@@ -11,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import GradMap, Tensor, affine
-
-INIT_STD = 0.02
+from .tensor import Tensor, affine
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -28,15 +29,22 @@ def require_positive(what, value):
 
 
 class ParamStore(dict):
-    """Named map from parameter path to leaf Tensor; insertion-ordered."""
+    """Named parameters over one flat float64 array, in the order of the
+    mapping it is built from.
 
-    def register(self, name, tensor):
-        if name in self:
-            raise ValueError(f"duplicate parameter name '{name}'")
-        if not tensor.requires_grad:
-            raise ValueError(f"parameter '{name}' must have requires_grad=True")
-        self[name] = tensor
-        return tensor
+    The arrays lie end to end in `flat`, and each name maps to a
+    requires_grad leaf whose `values` is a fixed view into `flat`: writing
+    into a view or into `flat` changes the parameter. The store is built once
+    and never rebinds a view.
+    """
+
+    def __init__(self, arrays):
+        super().__init__()
+        self.flat = np.concatenate(list(arrays.values()), axis=None, dtype=np.float64)
+        end = 0
+        for name, a in arrays.items():
+            start, end = end, end + a.size
+            self[name] = Tensor(self.flat[start:end].reshape(a.shape), requires_grad=True)
 
     def snapshot(self):
         """Deep value copy, for checkpointing."""
@@ -66,20 +74,6 @@ class AffineLayer:
         return affine(x, self.W, self.b)
 
 
-def gaussian_leaf(rng, shape, std=INIT_STD):
-    shape = tuple(int(s) for s in shape)
-    if any(s <= 0 for s in shape):
-        raise ValueError(f"init: non-positive dimension in {shape}")
-    return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
-
-
-def zeros_leaf(shape):
-    shape = tuple(int(s) for s in shape)
-    if any(s <= 0 for s in shape):
-        raise ValueError(f"init: non-positive dimension in {shape}")
-    return Tensor(np.zeros(shape), requires_grad=True)
-
-
 @dataclass
 class AdamState:
     """Learning rate, step count and the first and second moments, each one
@@ -92,20 +86,19 @@ class AdamState:
     v: np.ndarray | None = None
 
 
-def adam_step(state, params, grads):
-    """One Adam update with bias correction, in place on the store.
+def adam_step(state, store, grads):
+    """One Adam update with bias correction, in place on `store.flat`.
 
-    Parameters missing from `grads` see a zero gradient. A gradient whose
-    shape differs from its parameter's, a non-finite one, or a store whose size
-    differs from the moments' rejects the whole step before any mutation. The
-    update runs once over all parameters laid end to end, with the same
+    `grads` is the `GradMap` that `tensor.backward` returns; a parameter the
+    loss never reached reads as a zero gradient. A gradient whose shape
+    differs from its parameter's, a non-finite one, or a store whose size
+    differs from the moments' rejects the whole step before any mutation.
+    The gradients are gathered once, in store order, into one array that is
+    then the update's scratch buffer; the update runs with the same
     arithmetic per element as a per-parameter loop, in place on the moments.
     """
-    items = list(params.items())
-    if isinstance(grads, GradMap):
-        gs = [grads.get(p) for _, p in items]
-    else:
-        gs = [np.asarray(grads[name]) if name in grads else np.zeros(p.shape) for name, p in items]
+    items = list(store.items())
+    gs = [grads.get(p) for _, p in items]
     for (name, p), g in zip(items, gs):
         if g.shape != p.shape:
             raise ValueError(f"adam: gradient for parameter '{name}' has shape {g.shape}, expected {p.shape}")
@@ -137,9 +130,4 @@ def adam_step(state, params, grads):
     np.sqrt(g, out=g)
     g += ADAM_EPS
     update /= g
-    values = np.concatenate([p.values for _, p in items], axis=None)
-    values -= update
-    end = 0
-    for _, p in items:
-        start, end = end, end + p.size
-        p.values = values[start:end].reshape(p.shape)
+    store.flat -= update

@@ -1,3 +1,4 @@
+import gc
 import json
 import multiprocessing
 import os
@@ -5,6 +6,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -272,6 +274,36 @@ def test_train_step_short_final_batch(tiny_data):
     assert report.task == pytest.approx(task, rel=1e-12, abs=0)
     assert report.rs == pytest.approx(rs, rel=1e-12, abs=0)
     assert all(np.isfinite(report.as_row()))
+
+
+def test_train_steps_update_the_store_in_place_and_free_each_graph(tiny_data, monkeypatch):
+    """Adam writes into the store's flat array: every parameter keeps its
+    `values` array, a view of `store.flat` at its offset. No step's graph
+    outlives the step (`Tensor` takes no weakref, so the loss's backward
+    closure stands for its graph)."""
+    store = init_model(MODEL, TINY_RAW_DIMS, seed=0)
+    views = {name: t.values for name, t in store.items()}
+    before = store.flat.copy()
+    closures = []
+
+    def recording(loss):
+        closures.append(weakref.ref(loss._backward_fn))
+        return backward(loss)
+
+    monkeypatch.setattr(training, "backward", recording)
+    optimizer = AdamState()
+    for batch in list(batch_iter(tiny_data["train"], 16))[:3]:
+        train_step(batch, store, MODEL, optimizer, LossWeights())
+        gc.collect()
+        assert closures[-1]() is None
+    assert len(closures) == 3 and not np.array_equal(store.flat, before)
+    offset = 0
+    for name, t in store.items():
+        assert t.values is views[name], name
+        assert t.values.base is store.flat, name
+        assert t.values.ctypes.data == store.flat[offset:].ctypes.data, name
+        offset += t.size
+    assert offset == store.flat.size
 
 
 def _default_step_graph(monkeypatch, before_sweep=None):
