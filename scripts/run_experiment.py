@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from modalflow.config import build_config, load_config
+from modalflow.config import load_config
 from modalflow.data import generate_dataset, save_dataset
 from modalflow.training import evaluate, fit, performance_gap, similarity_matrix, write_similarity_csv
 
@@ -22,7 +22,7 @@ def main():
     parser.add_argument("--out", default="outputs/experiment", help="output directory")
     args = parser.parse_args()
 
-    cfg = load_config(args.config) if args.config else build_config({})
+    cfg = load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -71,16 +71,8 @@ def build_parser():
     return parser
 
 
-def _load_run_config(args):
-    if args.config is not None:
-        return load_config(args.config, args.overrides)
-    from .config import apply_overrides, build_config
-
-    return build_config(apply_overrides({}, args.overrides))
-
-
 def cmd_gen_data(args):
-    cfg = _load_run_config(args)
+    cfg = load_config(args.config, args.overrides)
     datasets = generate_dataset(cfg.synth)
     save_dataset(datasets, args.out)
     write_config_echo(cfg, args.out)
@@ -89,7 +81,7 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
-    cfg = _load_run_config(args)
+    cfg = load_config(args.config, args.overrides)
     datasets = load_dataset(args.data)
     for split in ("train", "val"):
         if split not in datasets:
@@ -120,7 +112,7 @@ def cmd_simmat(args):
 
 
 def cmd_ablate(args):
-    cfg = _load_run_config(args)
+    cfg = load_config(args.config, args.overrides)
     datasets = load_dataset(args.data) if args.data is not None else generate_dataset(cfg.synth)
     rows = run_ablation(
         datasets, cfg.model, cfg.train,

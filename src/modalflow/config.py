@@ -85,9 +85,10 @@ def build_config(raw):
     return RunConfig(**parts)
 
 
-def load_config(path, overrides=()):
-    """Parse, validate, and default-merge a config file; deterministic."""
-    text = Path(path).read_text()
+def load_config(path=None, overrides=()):
+    """Parse, validate, and default-merge a config file, or the defaults
+    when `path` is None (as for an empty file); deterministic."""
+    text = "" if path is None else Path(path).read_text()
     if text.strip() == "":
         raw = {}
     else:

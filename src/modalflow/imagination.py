@@ -15,22 +15,13 @@ from .tensor import Tensor, imagine
 
 @dataclass
 class MIAParams:
+    """One imagination module's parameters; `tensor.imagine` checks their
+    shapes against the inputs on each call."""
+
     W1: Tensor  # [3D, D'] over concat(R_v, R_a, R_t_hat)
     b1: Tensor  # [D']
     W2: Tensor  # [D', D]
     b2: Tensor  # [D]
-
-    def __post_init__(self):
-        d = self.W2.shape[1]
-        hidden = self.W1.shape[1]
-        if self.W1.shape[0] != 3 * d:
-            raise ValueError(f"mia: W1 input dim {self.W1.shape[0]} != 3*D ({3 * d})")
-        if self.W2.shape[0] != hidden or self.b1.shape != (hidden,) or self.b2.shape != (d,):
-            raise ValueError("mia: inconsistent parameter shapes")
-
-    @property
-    def dim(self):
-        return self.W2.shape[1]
 
 
 def mia_forward(R_v, R_a, R_t_hat, params, gate_from=0):
@@ -42,6 +33,4 @@ def mia_forward(R_v, R_a, R_t_hat, params, gate_from=0):
     R_t_hat's rows or only the gated ones (audio and vision shared by the
     flows stacked in R_t_hat).
     """
-    if R_t_hat.shape[-1] != params.dim:
-        raise ValueError(f"mia: last dim {R_t_hat.shape[-1]} != parameter dim {params.dim}")
     return imagine(R_v, R_a, R_t_hat, params.W1, params.b1, params.W2, params.b2, gate_from)

@@ -45,8 +45,14 @@ class LossWeights:
         require_positive("loss config: tau_rnc", self.tau_rnc)
 
 
+LOSS_TERMS = ("task", "mkd1", "mkd2", "rs", "rnc", "total")
+
+
 @dataclass
 class LossReport:
+    """One step's loss values, its fields in LOSS_TERMS order; an ablated
+    term reads 0.0."""
+
     task: float
     mkd1: float
     mkd2: float
@@ -55,7 +61,7 @@ class LossReport:
     total: float
 
     def as_row(self):
-        return [self.task, self.mkd1, self.mkd2, self.rs, self.rnc, self.total]
+        return [getattr(self, name) for name in LOSS_TERMS]
 
 
 def task_loss(y, y_hat):

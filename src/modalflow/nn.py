@@ -53,14 +53,11 @@ class ParamStore(dict):
 
 @dataclass
 class AffineLayer:
-    """One `tensor.affine` node: x @ W + b on the last axis; W is [in, out], b is [out]."""
+    """One `tensor.affine` node: x @ W + b on the last axis; W is [in, out], b is [out].
+    `tensor.affine` checks the shapes on each call."""
 
     W: Tensor
     b: Tensor
-
-    def __post_init__(self):
-        if self.W.ndim != 2 or self.b.shape != (self.W.shape[1],):
-            raise ValueError(f"affine: inconsistent shapes W{self.W.shape}, b{self.b.shape}")
 
     @property
     def in_dim(self):

@@ -25,6 +25,7 @@ import os
 import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -45,14 +46,11 @@ from .data import (
     write_tensor,
 )
 from .fusion import MODALITIES, ModelConfig, init_model, param_shapes, param_views, project_modality, umca_forward
-from .losses import LossWeights, make_report, mkd_loss, rnc_loss, rs_loss, task_loss, total_loss
+from .losses import LOSS_TERMS, LossWeights, make_report, mkd_loss, rnc_loss, rs_loss, task_loss, total_loss
 from .nn import AdamState, adam_step, require_positive
 from .tensor import Tensor, backward
 
-HISTORY_COLUMNS = (
-    "epoch", "task", "mkd1", "mkd2", "rs", "rnc", "total",
-    "val_mae_complete", "val_mae_missing",
-)
+HISTORY_COLUMNS = ("epoch", *LOSS_TERMS, "val_mae_complete", "val_mae_missing")
 
 ACC_RULES = ("sign", "sign_nonzero")
 
@@ -162,7 +160,7 @@ def train_step(batch, store, model_config, optimizer, weights, ablation=None):
     total = total_loss(task, weights, mkd1=mkd1, mkd2=mkd2, rs=rs, rnc=rnc)
     report = make_report(total, task, mkd1=mkd1, mkd2=mkd2, rs=rs, rnc=rnc)
     if not np.isfinite(report.total):
-        bad = [name for name, v in zip(("task", "mkd1", "mkd2", "rs", "rnc"), report.as_row()) if not np.isfinite(v)]
+        bad = [name for name, v in zip(LOSS_TERMS, report.as_row()) if not np.isfinite(v)]
         raise FloatingPointError(f"train_step: non-finite loss term(s): {', '.join(bad)}")
     grads = backward(total)
     adam_step(optimizer, store, grads)
@@ -322,7 +320,7 @@ def fit(datasets, model_config, train_config, ablation=None, out_dir=None):
     no_improve = 0
     history = []
     for epoch in range(1, train_config.epochs + 1):
-        sums = np.zeros(6)
+        sums = np.zeros(len(LOSS_TERMS))
         n_batches = 0
         shuffle_seed = [train_config.seed, epoch, 0x5EED]
         for batch in batch_iter(train, train_config.batch_size, shuffle_seed=shuffle_seed):
@@ -336,13 +334,8 @@ def fit(datasets, model_config, train_config, ablation=None, out_dir=None):
         val_mae_c = compute_metrics(val.labels, preds_c)[0]
         val_mae_m = compute_metrics(val.labels, preds_m)[0]
         history.append(
-            {
-                "epoch": epoch,
-                "task": means[0], "mkd1": means[1], "mkd2": means[2],
-                "rs": means[3], "rnc": means[4], "total": means[5],
-                "val_mae_complete": val_mae_c,
-                "val_mae_missing": val_mae_m,
-            }
+            {"epoch": epoch, **dict(zip(LOSS_TERMS, means)),
+             "val_mae_complete": val_mae_c, "val_mae_missing": val_mae_m}
         )
         if val_mae_c < best_mae:
             best_mae = val_mae_c
@@ -457,9 +450,15 @@ def _check_param_shapes(params, model_config, path):
 # -- ablation runner --------------------------------------------------------------------
 
 
+# The grid's toggle columns, each with the AblationSpec field it reads.
+ABLATION_FLAGS = (
+    ("llm_g", "use_sim_text"), ("mia", "use_mia"), ("l_mkd", "use_mkd"), ("l_rs", "use_rs"), ("l_rnc", "use_rnc"),
+)
+_ABLATION_MODES = ("missing", "complete")  # each run's test metrics, in column order
 ABLATION_COLUMNS = (
-    "llm_g", "mia", "l_mkd", "l_rs", "l_rnc",
-    "missing_mae", "missing_acc", "complete_mae", "complete_acc", "n_seeds",
+    *(column for column, _ in ABLATION_FLAGS),
+    *(f"{mode}_{metric}" for mode in _ABLATION_MODES for metric in ("mae", "acc")),
+    "n_seeds",
 )
 
 # Grid mirroring the module-toggle table: each component off once, plus the full model.
@@ -480,90 +479,66 @@ def derive_run_seed(base_seed, spec_index, seed_index):
 
 
 def _ablation_run(payload):
+    """(spec_index, seed_index, test metrics in column order) of one grid cell."""
     datasets, model_config, train_config, spec, spec_index, seed_index = payload
     run_cfg = replace(train_config, seed=derive_run_seed(train_config.seed, spec_index, seed_index))
     checkpoint, _ = fit(datasets, model_config, run_cfg, ablation=spec)
-    test = datasets["test"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        missing = evaluate(test, checkpoint, "missing")
-        complete = evaluate(test, checkpoint, "complete")
-    return spec_index, seed_index, missing, complete
+        metrics = [v for mode in _ABLATION_MODES for v in evaluate(datasets["test"], checkpoint, mode)]
+    return spec_index, seed_index, metrics
+
+
+def _flag_values(spec):
+    return [int(getattr(spec, name)) for _, name in ABLATION_FLAGS]
+
+
+def _csv_cells(values):
+    """Ints as written, floats by repr (round-trip exact)."""
+    return [v if isinstance(v, int) else repr(v) for v in values]
 
 
 def run_ablation(datasets, model_config, train_config, specs=DEFAULT_ABLATION_GRID, n_seeds=3, out_dir=None, jobs=1):
     """Train every spec with n_seeds derived seeds; report per-spec test means.
 
-    Per-run rows are persisted as they complete (runs.csv) so partial results
-    survive interruption; the summary table lands in ablation.csv.
+    Runs go to a pool of `jobs` worker processes when jobs > 1, and results
+    are taken in grid order either way. Per-run rows are persisted as they
+    complete (runs.csv) so partial results survive interruption; the summary
+    table lands in ablation.csv.
     """
     if n_seeds < 1:
         raise ValueError("run_ablation: n_seeds must be >= 1")
     if jobs < 1:
         raise ValueError(f"run_ablation: jobs must be >= 1, got {jobs}")
     out_dir = Path(out_dir) if out_dir is not None else None
-    runs_fh = None
-    runs_writer = None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        runs_fh = (out_dir / "runs.csv").open("w", newline="")
-        runs_writer = csv.writer(runs_fh)
-        runs_writer.writerow(
-            ("spec_index", "seed_index", "llm_g", "mia", "l_mkd", "l_rs", "l_rnc",
-             "missing_mae", "missing_acc", "complete_mae", "complete_acc")
-        )
-
     payloads = [
         (datasets, model_config, train_config, spec, si, ki)
         for si, spec in enumerate(specs)
         for ki in range(n_seeds)
     ]
-    results = {}
-
-    def record(spec_index, seed_index, missing, complete):
-        results.setdefault(spec_index, []).append((missing, complete))
-        if runs_writer is not None:
-            spec = specs[spec_index]
-            runs_writer.writerow(
-                [spec_index, seed_index,
-                 int(spec.use_sim_text), int(spec.use_mia), int(spec.use_mkd),
-                 int(spec.use_rs), int(spec.use_rnc),
-                 repr(missing[0]), repr(missing[1]), repr(complete[0]), repr(complete[1])]
-            )
-            runs_fh.flush()
-
-    try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for res in pool.map(_ablation_run, payloads):
-                    record(*res)
-        else:
-            for payload in payloads:
-                record(*_ablation_run(payload))
-    finally:
-        if runs_fh is not None:
-            runs_fh.close()
+    results = [[] for _ in specs]
+    with ExitStack() as stack:
+        runs_writer = None
+        if out_dir is not None:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            runs_fh = stack.enter_context((out_dir / "runs.csv").open("w", newline=""))
+            runs_writer = csv.writer(runs_fh)
+            runs_writer.writerow(("spec_index", "seed_index", *ABLATION_COLUMNS[:-1]))
+        run_map = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map if jobs > 1 else map
+        for si, ki, metrics in run_map(_ablation_run, payloads):
+            results[si].append(metrics)
+            if runs_writer is not None:
+                runs_writer.writerow(_csv_cells([si, ki, *_flag_values(specs[si]), *metrics]))
+                runs_fh.flush()
 
     rows = []
-    for si, spec in enumerate(specs):
-        runs = results[si]
-        missing_mae = float(np.mean([m[0] for m, _ in runs]))
-        missing_acc = float(np.mean([m[1] for m, _ in runs]))
-        complete_mae = float(np.mean([c[0] for _, c in runs]))
-        complete_acc = float(np.mean([c[1] for _, c in runs]))
-        rows.append(
-            {
-                "llm_g": int(spec.use_sim_text), "mia": int(spec.use_mia),
-                "l_mkd": int(spec.use_mkd), "l_rs": int(spec.use_rs), "l_rnc": int(spec.use_rnc),
-                "missing_mae": missing_mae, "missing_acc": missing_acc,
-                "complete_mae": complete_mae, "complete_acc": complete_acc,
-                "n_seeds": len(runs),
-            }
-        )
+    for spec, runs in zip(specs, results):
+        means = [float(np.mean(column)) for column in zip(*runs)]
+        rows.append(dict(zip(ABLATION_COLUMNS, [*_flag_values(spec), *means, len(runs)])))
     if out_dir is not None:
         with (out_dir / "ablation.csv").open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(ABLATION_COLUMNS)
             for row in rows:
-                writer.writerow([row[c] if isinstance(row[c], int) else repr(row[c]) for c in ABLATION_COLUMNS])
+                writer.writerow(_csv_cells(row.values()))
     return rows

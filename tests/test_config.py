@@ -28,6 +28,12 @@ def test_empty_file_yields_defaults(tmp_path):
     assert cfg.train.epochs == default.train.epochs
 
 
+def test_no_file_reads_as_an_empty_file(tmp_path):
+    assert load_config() == load_config(write(tmp_path, ""))
+    overrides = ["train.epochs=9"]
+    assert load_config(None, overrides) == load_config(write(tmp_path, ""), overrides)
+
+
 def test_empty_object_yields_defaults(tmp_path):
     cfg = load_config(write(tmp_path, "{}"))
     assert cfg.synth == RunConfig().synth

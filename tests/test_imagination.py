@@ -8,22 +8,25 @@ from builders import make_mia
 from modalflow.imagination import MIAParams, mia_forward
 from modalflow.fusion import init_model
 from modalflow.nn import AdamState, adam_step
-from modalflow.tensor import Tensor, backward, grad_check
+from modalflow.tensor import ShapeError, Tensor, backward, grad_check
 
 from builders import TINY_RAW_DIMS, tiny_model_config
 
 
 def test_param_shape_validation():
-    with pytest.raises(ValueError, match="W1"):
-        MIAParams(
-            W1=Tensor(np.zeros((5, 2))), b1=Tensor(np.zeros(2)),
-            W2=Tensor(np.zeros((2, 3))), b2=Tensor(np.zeros(3)),
-        )
-    with pytest.raises(ValueError, match="inconsistent"):
-        MIAParams(
-            W1=Tensor(np.zeros((9, 2))), b1=Tensor(np.zeros(4)),
-            W2=Tensor(np.zeros((2, 3))), b2=Tensor(np.zeros(3)),
-        )
+    x = Tensor(np.zeros((2, 3)))
+    bad_w1 = MIAParams(
+        W1=Tensor(np.zeros((5, 2))), b1=Tensor(np.zeros(2)),
+        W2=Tensor(np.zeros((2, 3))), b2=Tensor(np.zeros(3)),
+    )
+    with pytest.raises(ShapeError, match=r"imagine: .*\(5, 2\)"):
+        mia_forward(x, x, x, bad_w1)
+    bad_b1 = MIAParams(
+        W1=Tensor(np.zeros((9, 2))), b1=Tensor(np.zeros(4)),
+        W2=Tensor(np.zeros((2, 3))), b2=Tensor(np.zeros(3)),
+    )
+    with pytest.raises(ShapeError, match=r"imagine: .*\(4,\)"):
+        mia_forward(x, x, x, bad_b1)
 
 
 def test_zero_weights_pass_input_through_exactly(rng):
@@ -93,10 +96,10 @@ def test_weight_sharing_across_rows(rng):
 def test_input_validation(rng):
     mia = make_mia(rng, dim=3)
     a = Tensor(rng.normal(size=(2, 3)))
-    with pytest.raises(ValueError, match="share shape"):
+    with pytest.raises(ShapeError, match="share shape"):
         mia_forward(a, a, Tensor(rng.normal(size=(3, 3))), mia)
     b = Tensor(rng.normal(size=(2, 4)))
-    with pytest.raises(ValueError, match="parameter dim"):
+    with pytest.raises(ShapeError, match=r"imagine: .*\(12,\)"):
         mia_forward(b, b, b, mia)
 
 

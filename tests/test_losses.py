@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modalflow.losses import (
+    LOSS_TERMS,
     LossReport,
     LossWeights,
     make_report,
@@ -271,6 +274,7 @@ def test_report_weighted_sum_identity(rng):
     recomputed = rep.task + w.alpha * rep.mkd1 + w.beta * rep.mkd2 + w.gamma * rep.rs + w.delta * rep.rnc
     assert abs(rep.total - recomputed) < 1e-12
     assert rep.as_row() == [rep.task, rep.mkd1, rep.mkd2, rep.rs, rep.rnc, rep.total]
+    assert tuple(f.name for f in fields(LossReport)) == LOSS_TERMS
 
 
 def test_report_ablated_terms_read_zero():

@@ -11,7 +11,7 @@ from modalflow.nn import (
     ParamStore,
     adam_step,
 )
-from modalflow.tensor import GradMap, Tensor, backward
+from modalflow.tensor import GradMap, ShapeError, Tensor, backward
 
 
 # -- initialization and the store ----------------------------------------------------
@@ -72,8 +72,9 @@ def test_affine_matches_numpy(rng):
 
 
 def test_affine_shape_validation():
-    with pytest.raises(ValueError, match="affine"):
-        AffineLayer(Tensor(np.ones((4, 3))), Tensor(np.ones(4)))
+    layer = AffineLayer(Tensor(np.ones((4, 3))), Tensor(np.ones(4)))
+    with pytest.raises(ShapeError, match="affine"):
+        layer(Tensor(np.ones((5, 4))))
 
 
 # -- adam ---------------------------------------------------------------------------------

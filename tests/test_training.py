@@ -248,6 +248,21 @@ def test_train_step_ablated_terms_zero(tiny_data):
     assert report.total == report.task
 
 
+@pytest.mark.parametrize("rnc, named", [(np.nan, "rnc, total"), (np.finfo(np.float64).max, "total")])
+def test_train_step_names_each_non_finite_term(tiny_data, monkeypatch, rnc, named):
+    """A non-finite loss term stops the step before backward and Adam, and
+    the error names every non-finite term: a total that overflows from
+    finite terms names the total alone."""
+    monkeypatch.setattr(training, "rnc_loss", lambda *args: Tensor(rnc))
+    store = init_model(MODEL, TINY_RAW_DIMS, seed=0)
+    before = store.flat.copy()
+    optimizer = AdamState()
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match=rf"loss term\(s\): {named}$"):
+        train_step(first_batch(tiny_data["train"]), store, MODEL, optimizer, LossWeights(delta=10.0))
+    assert np.array_equal(store.flat, before)
+    assert optimizer.step == 0 and optimizer.m is None
+
+
 def test_train_step_decreases_loss_on_repeated_batch(tiny_data):
     batch = first_batch(tiny_data["train"])
     store = init_model(MODEL, TINY_RAW_DIMS, seed=0)
@@ -1036,6 +1051,19 @@ def test_run_ablation_grid_outputs(tiny_data, tmp_path):
     assert len(runs) == len(DEFAULT_ABLATION_GRID) + 1
     # full model row has every toggle on
     assert rows[-1]["llm_g"] == rows[-1]["mia"] == rows[-1]["l_mkd"] == rows[-1]["l_rs"] == rows[-1]["l_rnc"] == 1
+
+
+def test_run_ablation_pool_matches_serial(tiny_data, tmp_path):
+    """jobs=2 runs the grid on a worker pool; its rows, runs.csv and
+    ablation.csv equal jobs=1's byte for byte."""
+    cfg = TrainConfig(epochs=1, patience=1, batch_size=16, seed=0)
+    outputs = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        rows = run_ablation(tiny_data, MODEL, cfg, specs=DEFAULT_ABLATION_GRID[-2:], n_seeds=2, out_dir=out, jobs=jobs)
+        outputs.append((rows, (out / "runs.csv").read_bytes(), (out / "ablation.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][1].splitlines()) == 1 + 2 * 2
 
 
 def test_run_ablation_rejects_bad_seed_count(tiny_data):
