@@ -83,9 +83,6 @@ def cmd_gen_data(args):
 def cmd_train(args):
     cfg = load_config(args.config, args.overrides)
     datasets = load_dataset(args.data)
-    for split in ("train", "val"):
-        if split not in datasets:
-            raise DatasetError(f"dataset at {args.data} lacks the '{split}' split")
     out = Path(args.out)
     checkpoint, history = fit(datasets, cfg.model, cfg.train, out_dir=out)
     write_config_echo(cfg, out)

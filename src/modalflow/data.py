@@ -10,20 +10,23 @@ knob rho in [0, 1].
 On-disk format: one directory holding `manifest.json` plus one raw `.bin`
 file per tensor field per split (little-endian float64, row-major, samples
 concatenated along the leading axis). `write_tensor`/`read_tensor` are the
-one codec for these files; checkpoints (`training.save_checkpoint`) use it
-too and choose only their own file names and manifest keys. A save first
-removes the tensor files the directory's old manifest names, then that
-manifest, and writes the new one last, atomically, so a save that stops
+one codec for these files, and `save_record`/`open_record` the one envelope
+around them: datasets and checkpoints (`training.save_checkpoint`) both use
+them and choose only their format tag, fields, file names and tensor table. A
+save first removes the tensor files the directory's old manifest names, then
+that manifest, and writes the new one last, atomically, so a save that stops
 partway leaves a directory that fails to load, and a smaller re-save leaves no
 stale tensor files. A load checks the manifest's structure (objects where
 objects belong, plain file names inside the directory) and, for a dataset, the
-tensors' shapes against each other and the split's declared size.
+tensors' shapes against each other and the split's declared size; every
+failure raises DatasetError.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -37,6 +40,7 @@ TEXT_SIGNAL_GAIN = 1.2
 
 # the codec's one element type, declared as "dtype" in every manifest
 TENSOR_DTYPE = "<f8"
+DATASET_FORMAT = "modalflow-dataset-v1"
 
 
 class DatasetError(ValueError):
@@ -235,17 +239,6 @@ def require_object(value, where):
     return value
 
 
-def read_manifest(manifest_path):
-    """The JSON object in a manifest file; other JSON raises DatasetError."""
-    return require_object(json.loads(Path(manifest_path).read_text()), manifest_path)
-
-
-def check_dtype(manifest, where):
-    """Reject a manifest that declares an element type other than the codec's."""
-    if manifest.get("dtype") != TENSOR_DTYPE:
-        raise DatasetError(f"load: {where} declares dtype {manifest.get('dtype')!r}, expected {TENSOR_DTYPE!r}")
-
-
 def _named_files(manifest_path):
     """The plain tensor file names an old manifest names, in a dataset's
     splits or a checkpoint's tensors; none if it cannot be read as one."""
@@ -257,11 +250,13 @@ def _named_files(manifest_path):
         return set()
 
 
-def start_save(path):
-    """Make the directory `path` ready for a save: the tensor files its old
-    manifest names are removed (plain names only, so nothing outside it),
-    then the manifest, so a reader cannot pair an old manifest with new
-    tensor files and a smaller save leaves no stale ones."""
+@contextmanager
+def save_record(path, fmt, **fields):
+    """Save one record into the directory `path`; yields (path, manifest), the
+    manifest holding `format`, `dtype` and `fields`, for the body to add its
+    table of `write_tensor` entries. The tensor files the old manifest names
+    (plain names only) go first, then that manifest; the new one is written
+    last, through a temp file renamed over, and only if the body returned."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     manifest_path = path / "manifest.json"
@@ -269,15 +264,31 @@ def start_save(path):
         if _is_plain_name(fname):
             (path / fname).unlink(missing_ok=True)
     manifest_path.unlink(missing_ok=True)
-    return path
-
-
-def finish_save(path, manifest):
-    """Write a save's manifest.json after all its tensors: to a temp file, then
-    renamed over, so it appears whole or not at all."""
-    tmp = Path(path) / "manifest.json.tmp"
+    manifest = {"format": fmt, "dtype": TENSOR_DTYPE, **fields}
+    yield path, manifest
+    tmp = path / "manifest.json.tmp"
     tmp.write_text(json.dumps(manifest, indent=2))
-    os.replace(tmp, Path(path) / "manifest.json")
+    os.replace(tmp, manifest_path)
+
+
+def open_record(path, fmt, keys):
+    """The manifest of a record `save_record(path, fmt, ...)` wrote, once it is
+    known to exist, to be a JSON object, to declare `fmt` and the codec's
+    dtype, and to hold every key in `keys`; else DatasetError naming the fault."""
+    manifest_path = Path(path) / "manifest.json"
+    if not manifest_path.exists():
+        raise DatasetError(f"load: no manifest.json under {path}")
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as exc:
+        raise DatasetError(f"load: {manifest_path} is not JSON: {exc}") from None
+    require_object(manifest, manifest_path)
+    if manifest.get("format") != fmt:
+        raise DatasetError(f"load: {manifest_path} has unrecognized format {manifest.get('format')!r}, expected {fmt!r}")
+    if manifest.get("dtype") != TENSOR_DTYPE:
+        raise DatasetError(f"load: {manifest_path} declares dtype {manifest.get('dtype')!r}, expected {TENSOR_DTYPE!r}")
+    require_keys(manifest, keys, manifest_path)
+    return manifest
 
 
 def require_keys(manifest, keys, where):
@@ -295,23 +306,27 @@ def config_from(cls, manifest, key, where):
         raise DatasetError(f"load: {where} '{key}': {exc}") from None
 
 
+def require_splits(datasets, names):
+    """Raise DatasetError naming the first of `names` that the mapping of
+    splits `datasets` lacks, and the splits it has."""
+    for name in names:
+        if name not in datasets:
+            raise DatasetError(f"split '{name}' not present (has {sorted(datasets)})")
+
+
 def save_dataset(datasets, path):
     """Write one or more splits into a directory (manifest + per-tensor .bin)."""
     if isinstance(datasets, Dataset):
         datasets = {datasets.split: datasets}
-    path = start_save(path)
-    manifest = {
-        "format": "modalflow-dataset-v1",
-        "dtype": TENSOR_DTYPE,
-        "config": asdict(next(iter(datasets.values())).config),
-        "splits": {},
-    }
-    for split, ds in datasets.items():
-        manifest["splits"][split] = {
-            "n": int(ds.n),
-            "tensors": {name: write_tensor(path, f"{split}_{name}.bin", arr) for name, arr in ds.tensors().items()},
+    config = asdict(next(iter(datasets.values())).config)
+    with save_record(path, DATASET_FORMAT, config=config) as (path, manifest):
+        manifest["splits"] = {
+            split: {
+                "n": int(ds.n),
+                "tensors": {name: write_tensor(path, f"{split}_{name}.bin", arr) for name, arr in ds.tensors().items()},
+            }
+            for split, ds in datasets.items()
         }
-    finish_save(path, manifest)
 
 
 def load_dataset(path, split=None):
@@ -320,21 +335,11 @@ def load_dataset(path, split=None):
     Returns the dict of splits, or a single Dataset when `split` is given; then
     only that split's tensor files are read and checked.
     """
-    path = Path(path)
-    manifest_path = path / "manifest.json"
-    if not manifest_path.exists():
-        raise DatasetError(f"load: no manifest.json under {path}")
-    manifest = read_manifest(manifest_path)
-    if manifest.get("format") != "modalflow-dataset-v1":
-        raise DatasetError(f"load: unrecognized format {manifest.get('format')!r}")
-    check_dtype(manifest, manifest_path)
-    require_keys(manifest, ("config", "splits"), manifest_path)
-    config = config_from(SynthConfig, manifest, "config", manifest_path)
-
-    splits = require_object(manifest["splits"], f"{manifest_path} 'splits'")
+    manifest = open_record(path, DATASET_FORMAT, ("config", "splits"))
+    config = config_from(SynthConfig, manifest, "config", f"dataset at {path}")
+    splits = require_object(manifest["splits"], f"dataset at {path} 'splits'")
     if split is not None:
-        if split not in splits:
-            raise DatasetError(f"load: split '{split}' not present (has {sorted(splits)})")
+        require_splits(splits, (split,))
         return _load_split(path, config, split, splits[split])
     return {name: _load_split(path, config, name, entry) for name, entry in splits.items()}
 

@@ -13,9 +13,9 @@ the best-MAE parameters are returned.
 The model's input sizes are not configured: `fit` reads each modality's raw
 feature size from the train split. A checkpoint holds what inference reads:
 the parameters and the run's metadata, not the optimizer state. Checkpoints
-are stored with the dataset tensor codec (`data.write_tensor`/
-`data.read_tensor`); this module picks only their file names and manifest
-keys.
+are records of the dataset's envelope and codec (`data.save_record`/
+`data.open_record`, `data.write_tensor`/`data.read_tensor`); this module
+picks only their format tag, fields and tensor file names.
 """
 
 from __future__ import annotations
@@ -26,23 +26,21 @@ import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
-    TENSOR_DTYPE,
+    SPLITS,
     DatasetError,
     batch_iter,
-    check_dtype,
     config_from,
-    finish_save,
-    read_manifest,
+    open_record,
     read_tensor,
-    require_keys,
     require_object,
-    start_save,
+    require_splits,
+    save_record,
     write_tensor,
 )
 from .fusion import MODALITIES, ModelConfig, init_model, param_shapes, param_views, project_modality, umca_forward
@@ -88,6 +86,11 @@ class AblationSpec:
     use_mkd: bool = True
     use_rs: bool = True
     use_rnc: bool = True
+
+    def __post_init__(self):
+        for flag in fields(self):
+            if not isinstance(getattr(self, flag.name), bool):
+                raise TypeError(f"ablation flag {flag.name} must be a bool, got {getattr(self, flag.name)!r}")
 
 
 @dataclass
@@ -306,6 +309,7 @@ def fit(datasets, model_config, train_config, ablation=None, out_dir=None):
     there.
     """
     ablation = ablation or AblationSpec()
+    require_splits(datasets, ("train", "val"))
     train = datasets["train"]
     val = datasets["val"]
     if train.n == 0 or val.n == 0:
@@ -380,50 +384,40 @@ CHECKPOINT_KEYS = ("epoch", "best_val_mae", "model_config", "train_config", "abl
 
 def save_checkpoint(checkpoint, path):
     """Directory with manifest.json plus one .bin per parameter (the dataset codec)."""
-    path = start_save(path)
-    manifest = {
-        "format": CHECKPOINT_FORMAT,
-        "dtype": TENSOR_DTYPE,
-        "epoch": checkpoint.epoch,
-        "best_val_mae": checkpoint.best_val_mae,
-        "model_config": asdict(checkpoint.model_config),
-        "train_config": asdict(checkpoint.train_config),
-        "ablation": asdict(checkpoint.ablation),
-        "tensors": {},
-    }
-    for i, (name, arr) in enumerate(checkpoint.params.items()):
-        manifest["tensors"][f"param:{name}"] = write_tensor(path, f"t{i:04d}.bin", arr)
-    finish_save(path, manifest)
+    meta = {"epoch": checkpoint.epoch, "best_val_mae": checkpoint.best_val_mae}
+    meta.update({key: asdict(getattr(checkpoint, key)) for key in ("model_config", "train_config", "ablation")})
+    with save_record(path, CHECKPOINT_FORMAT, **meta) as (path, manifest):
+        params = enumerate(checkpoint.params.items())
+        manifest["tensors"] = {f"param:{name}": write_tensor(path, f"t{i:04d}.bin", arr) for i, (name, arr) in params}
 
 
 def load_checkpoint(path):
     path = Path(path)
     if (path / "checkpoint" / "manifest.json").exists() and not (path / "manifest.json").exists():
         path = path / "checkpoint"  # accept a run directory
-    manifest_path = path / "manifest.json"
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"no checkpoint manifest under {path}")
-    manifest = read_manifest(manifest_path)
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unrecognized checkpoint format {manifest.get('format')!r}")
-    check_dtype(manifest, manifest_path)
-    require_keys(manifest, CHECKPOINT_KEYS, manifest_path)
-
+    manifest = open_record(path, CHECKPOINT_FORMAT, CHECKPOINT_KEYS)
+    where = f"checkpoint at {path}"
+    epoch, best_val_mae = manifest["epoch"], manifest["best_val_mae"]
+    # type(), not isinstance: JSON true and false load as bool, a subclass of int
+    if type(epoch) is not int or epoch < 1:
+        raise DatasetError(f"load: {where} 'epoch' must be a positive int, got {epoch!r}")
+    if type(best_val_mae) not in (int, float):
+        raise DatasetError(f"load: {where} 'best_val_mae' must be a number, got {best_val_mae!r}")
     params = {}
-    for key, entry in require_object(manifest["tensors"], f"{manifest_path} 'tensors'").items():
+    for key, entry in require_object(manifest["tensors"], f"{where} 'tensors'").items():
         group, sep, name = key.partition(":")
         if not sep or group != "param":
-            raise ValueError(f"checkpoint tensor '{key}': name must be 'param:<parameter name>'")
+            raise DatasetError(f"load: checkpoint tensor '{key}': name must be 'param:<parameter name>'")
         params[name] = read_tensor(path, entry, key)
-    model_config = config_from(ModelConfig, manifest, "model_config", manifest_path)
+    model_config = config_from(ModelConfig, manifest, "model_config", where)
     _check_param_shapes(params, model_config, path)
     return Checkpoint(
         params=params,
-        epoch=int(manifest["epoch"]),
-        best_val_mae=float(manifest["best_val_mae"]),
+        epoch=epoch,
+        best_val_mae=float(best_val_mae),
         model_config=model_config,
-        train_config=config_from(TrainConfig, manifest, "train_config", manifest_path),
-        ablation=config_from(AblationSpec, manifest, "ablation", manifest_path),
+        train_config=config_from(TrainConfig, manifest, "train_config", where),
+        ablation=config_from(AblationSpec, manifest, "ablation", where),
     )
 
 
@@ -510,6 +504,7 @@ def run_ablation(datasets, model_config, train_config, specs=DEFAULT_ABLATION_GR
         raise ValueError("run_ablation: n_seeds must be >= 1")
     if jobs < 1:
         raise ValueError(f"run_ablation: jobs must be >= 1, got {jobs}")
+    require_splits(datasets, SPLITS)
     out_dir = Path(out_dir) if out_dir is not None else None
     payloads = [
         (datasets, model_config, train_config, spec, si, ki)

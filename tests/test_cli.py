@@ -140,6 +140,55 @@ def _edited_copy(src, dst, edit):
     return dst
 
 
+def _dataset_with(workdir, dst, splits):
+    """A copy of the shared dataset that holds only `splits`."""
+    datasets = load_dataset(workdir["data"])
+    save_dataset({split: datasets[split] for split in splits}, dst)
+    return dst
+
+
+def test_ablate_without_test_split_fails_before_training(workdir, tmp_path, capsys):
+    data = _dataset_with(workdir, tmp_path / "data", ("train", "val"))
+    out = tmp_path / "ablation"
+    code = main(["ablate", "--config", str(workdir["config"]), "--data", str(data), "--out", str(out), "--seeds", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'test'" in err and "Traceback" not in err
+    assert not out.exists()  # no runs.csv: not one grid cell trained
+
+
+def test_train_without_val_split_fails_cleanly(workdir, tmp_path, capsys):
+    data = _dataset_with(workdir, tmp_path / "data", ("train", "test"))
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(workdir["config"]), "--data", str(data), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'val'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("epoch", None), ("epoch", [1]), ("epoch", 1.5), ("epoch", True), ("epoch", 0),
+     ("best_val_mae", {}), ("best_val_mae", "0.5"), ("best_val_mae", True)],
+)
+def test_eval_checkpoint_epoch_and_best_val_mae_are_type_checked(workdir, tmp_path, capsys, key, value):
+    ckpt = _edited_copy(workdir["run"] / "checkpoint", tmp_path / "ckpt", lambda m: m.update({key: value}))
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(workdir["data"])])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{key}'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_eval_checkpoint_ablation_flag_must_be_a_bool(workdir, tmp_path, capsys, value):
+    ckpt = _edited_copy(workdir["run"] / "checkpoint", tmp_path / "ckpt", lambda m: m["ablation"].update(use_mia=value))
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(workdir["data"]), "--mode", "missing"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'ablation'" in err and "use_mia must be a bool" in err
+
+
 @pytest.mark.parametrize("key", ["file", "shape", "bytes"])
 def test_eval_manifest_entry_without_key_fails_cleanly(workdir, tmp_path, capsys, key):
     data = _edited_copy(workdir["data"], tmp_path / "data",
@@ -193,6 +242,17 @@ def test_eval_manifest_that_is_not_an_object_fails_cleanly(workdir, tmp_path, ca
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "manifest.json must be a JSON object, got list" in err
+
+
+@pytest.mark.parametrize("target", ["data", "checkpoint"])
+def test_eval_manifest_that_is_not_json_fails_with_a_dataset_error(workdir, tmp_path, capsys, target):
+    paths = {"data": workdir["data"], "checkpoint": workdir["run"] / "checkpoint"}
+    shutil.copytree(paths[target], tmp_path / target)
+    (tmp_path / target / "manifest.json").write_text("{not json")
+    paths[target] = tmp_path / target
+    code = main(["eval", "--checkpoint", str(paths["checkpoint"]), "--data", str(paths["data"])])
+    assert code == 1
+    assert "manifest.json is not JSON" in capsys.readouterr().err
 
 
 def test_eval_dataset_splits_that_are_not_an_object_fail_cleanly(workdir, tmp_path, capsys):

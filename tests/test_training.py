@@ -17,7 +17,7 @@ import modalflow.fusion as fusion
 import modalflow.tensor as tensor
 import modalflow.training as training
 from builders import TINY_RAW_DIMS, tiny_model_config
-from modalflow.data import DatasetError, SynthConfig, batch_iter, generate_dataset, write_tensor
+from modalflow.data import DatasetError, SynthConfig, batch_iter, generate_dataset, save_dataset, write_tensor
 from modalflow.fusion import MODALITIES, ModelConfig, init_model
 from modalflow.losses import LossWeights
 from modalflow.nn import AdamState
@@ -875,7 +875,7 @@ def test_interrupted_resave_leaves_no_loadable_checkpoint(fitted, tmp_path, monk
     monkeypatch.setattr(training, "write_tensor", failing_write)
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(other, tmp_path / "ckpt")
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(DatasetError, match="no manifest.json"):
         load_checkpoint(tmp_path / "ckpt")
     monkeypatch.undo()
     save_checkpoint(other, tmp_path / "ckpt")
@@ -892,8 +892,22 @@ def test_load_checkpoint_accepts_run_directory(tiny_data, tiny_train_config, tmp
 
 
 def test_load_checkpoint_missing(tmp_path):
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(DatasetError, match="no manifest.json"):
         load_checkpoint(tmp_path / "nothing")
+
+
+def test_manifests_list_format_dtype_fields_then_tensor_table(tiny_data, fitted, tmp_path):
+    """Both record kinds keep one key order, so their manifests stay byte-identical."""
+    save_dataset(tiny_data, tmp_path / "ds")
+    save_checkpoint(fitted[0], tmp_path / "ckpt")
+    dataset = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+    checkpoint = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+    assert list(dataset) == ["format", "dtype", "config", "splits"]
+    assert list(checkpoint) == [
+        "format", "dtype", "epoch", "best_val_mae", "model_config", "train_config", "ablation", "tensors",
+    ]
+    assert (dataset["format"], dataset["dtype"]) == ("modalflow-dataset-v1", "<f8")
+    assert (checkpoint["format"], checkpoint["dtype"]) == ("modalflow-checkpoint-v3", "<f8")
 
 
 @pytest.mark.parametrize(
@@ -929,7 +943,7 @@ def test_load_checkpoint_rejects_corruption(fitted, tmp_path, kind, match):
         manifest["format"] = "modalflow-checkpoint-v1"
         manifest["model_config"].update(seq_len=2, raw_dim_a=3, raw_dim_v=2, raw_dim_t=4)
     mpath.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(DatasetError, match=match):
         load_checkpoint(tmp_path / "ckpt")
 
 
