@@ -32,6 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .nn import check_field_types
+
 SPLITS = ("train", "val", "test")
 TENSOR_FIELDS = ("audio", "vision", "text", "sim_text", "labels")
 
@@ -66,6 +68,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self, "synth config")
         for name in ("n_train", "n_val", "n_test", "seq_len", "raw_dim_a", "raw_dim_v", "raw_dim_t", "latent_dim"):
             if getattr(self, name) < 1:
                 raise DatasetError(f"synth config: {name} must be >= 1")
@@ -299,10 +302,10 @@ def require_keys(manifest, keys, where):
 
 
 def config_from(cls, manifest, key, where):
-    """`cls(**manifest[key])`; an unknown or ill-typed field raises DatasetError."""
+    """`cls(**manifest[key])`; an unknown, ill-typed or out-of-range field raises DatasetError."""
     try:
         return cls(**manifest[key])
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise DatasetError(f"load: {where} '{key}': {exc}") from None
 
 

@@ -6,12 +6,15 @@ representations yields softmax weights, which build seven multi-view queries
 (3 unimodal, 3 bimodal, 1 trimodal weighted sums). Stage 2: the 7-row query
 attends over each modality sequence again; a second gathering MLP fuses the
 three results per row, the 7 rows are averaged into the final representation,
-and an affine head regresses the valence.
+and an affine head regresses the valence. On the text-missing flow, two
+residual imagination autoencoders (`mia_forward`) rewrite the simulated text
+at stage 1 and stage 2. Every forward function reads the parameters by their
+`param_shapes` names from the name -> Tensor mapping it is given.
 
 Each block is one graph node: a cross-attention call is one
 `tensor.cross_attention`, the multi-view queries and the stage-2 pooling are
 each one `tensor.subset_sum`, and each imagination rewrite is one
-`tensor.imagine` (see `imagination.mia_forward`).
+`tensor.imagine`.
 
 All forward functions accept an optional leading batch axis: per-sample
 shapes are [q, D]/[S, D], batched shapes [B, q, D]/[B, S, D]. In
@@ -32,9 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imagination import MIAParams, mia_forward
-from .nn import AffineLayer, ParamStore, require_positive
-from .tensor import Tensor, concat, cross_attention, softmax, subset_sum
+from .nn import ParamStore, check_field_types, require_positive
+from .tensor import Tensor, affine, concat, cross_attention, imagine, softmax, subset_sum
 
 MODALITIES = ("a", "v", "t")  # audio, vision, text; order fixed
 
@@ -52,6 +54,9 @@ class ModelConfig:
     tau_attn: float | None = None  # None -> sqrt(dim)
 
     def __post_init__(self):
+        if self.tau_attn is not None:  # first, so a non-number names the whole rule
+            require_positive("model config: tau_attn", self.tau_attn)
+        check_field_types(self, "model config")
         for name in ("dim", "mia_hidden"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"model config: {name} must be positive")
@@ -59,25 +64,6 @@ class ModelConfig:
             raise ValueError("model config: mia_hidden must be smaller than 3*dim")
         if self.tau_attn is None:
             self.tau_attn = math.sqrt(self.dim)
-        require_positive("model config: tau_attn", self.tau_attn)
-
-
-@dataclass
-class AttentionMaps:
-    key: AffineLayer
-    value: AffineLayer
-
-
-@dataclass
-class UMCAParams:
-    proj: dict  # modality -> AffineLayer raw_dim -> D
-    query: dict  # modality -> Tensor [1, D]
-    stage1: dict  # modality -> AttentionMaps
-    stage2: dict  # modality -> AttentionMaps
-    afg1: AffineLayer  # 3D -> 3
-    afg2: AffineLayer  # 3D -> 3
-    head: AffineLayer  # D -> 1
-    tau: float
 
 
 @dataclass
@@ -133,54 +119,37 @@ def init_model(config, raw_dims, seed):
     return ParamStore(arrays)
 
 
-def param_views(params, config):
-    """Build typed views over a name->Tensor mapping (store or detached copy)."""
-
-    def affine(prefix):
-        return AffineLayer(params[f"{prefix}.W"], params[f"{prefix}.b"])
-
-    umca = UMCAParams(
-        proj={m: affine(f"proj.{m}") for m in MODALITIES},
-        query={m: params[f"query.{m}"] for m in MODALITIES},
-        stage1={m: AttentionMaps(affine(f"s1.{m}.key"), affine(f"s1.{m}.val")) for m in MODALITIES},
-        stage2={m: AttentionMaps(affine(f"s2.{m}.key"), affine(f"s2.{m}.val")) for m in MODALITIES},
-        afg1=affine("afg1"),
-        afg2=affine("afg2"),
-        head=affine("head"),
-        tau=config.tau_attn,
-    )
-    mia1 = MIAParams(params["mia1.W1"], params["mia1.b1"], params["mia1.W2"], params["mia1.b2"])
-    mia2 = MIAParams(params["mia2.W1"], params["mia2.b1"], params["mia2.W2"], params["mia2.b2"])
-    return umca, mia1, mia2
-
-
-def project_modality(raw, m, umca):
-    """Map raw per-modality features [..., S, raw_dim] into the shared dimension."""
-    layer = umca.proj[m]
-    if raw.shape[-1] != layer.in_dim:
+def project_modality(raw, m, p):
+    """Map raw per-modality features [..., S, raw_dim] into the shared
+    dimension with `proj.{m}.W` and `proj.{m}.b`."""
+    W = p[f"proj.{m}.W"]
+    if raw.shape[-1] != W.shape[0]:
         raise ValueError(
-            f"project: modality '{m}' raw dim {raw.shape[-1]} != the model's input dim {layer.in_dim}"
+            f"project: modality '{m}' raw dim {raw.shape[-1]} != the model's input dim {W.shape[0]}"
         )
-    return layer(raw)
+    return affine(raw, W, p[f"proj.{m}.b"])
 
 
-def cross_attend(Q, E, maps, tau):
+def cross_attend(Q, E, p, prefix, tau):
     """R = softmax(Q K^T / tau) V with K = tanh(affine(V)), V = affine(E), as
-    one `tensor.cross_attention` node.
+    one `tensor.cross_attention` node; the value map is `{prefix}.val` and the
+    key map `{prefix}.key`.
 
     K and V are computed over E's rows. A batched Q may carry F times E's
     batch rows (F flows sharing E); K and V then broadcast over the flow
     axis, and R comes back as [F·n, q, D].
     """
-    return cross_attention(Q, E, maps.value.W, maps.value.b, maps.key.W, maps.key.b, tau)
+    val, key = f"{prefix}.val", f"{prefix}.key"
+    return cross_attention(Q, E, p[f"{val}.W"], p[f"{val}.b"], p[f"{key}.W"], p[f"{key}.b"], tau)
 
 
-def afg_weights(R_a, R_v, R_t, afg):
-    """Softmax fusion weights over the three modalities, per leading position."""
+def afg_weights(R_a, R_v, R_t, p, prefix):
+    """Softmax fusion weights over the three modalities, per leading position,
+    from the gathering map `{prefix}.W`, `{prefix}.b`."""
     if R_a.shape != R_v.shape or R_a.shape != R_t.shape:
         raise ValueError(f"afg: representations must share shape, got {R_a.shape}, {R_v.shape}, {R_t.shape}")
     x = concat([R_a, R_v, R_t], axis=-1)
-    return softmax(afg(x))
+    return softmax(affine(x, p[f"{prefix}.W"], p[f"{prefix}.b"]))
 
 
 def multiview_queries(R, w):
@@ -193,54 +162,64 @@ def multiview_queries(R, w):
     return subset_sum(w, [R[m] for m in MODALITIES], _SUBSET_INDICES)
 
 
-def _pool_seq(R_seq, afg2):
-    """Per-row fusion weights, then the modality-weighted sum and its mean over
-    rows as one `tensor.subset_sum` node."""
-    w = afg_weights(R_seq["a"], R_seq["v"], R_seq["t"], afg2)  # [..., 7, 3]
-    return subset_sum(w, [R_seq[m] for m in MODALITIES], (_SUBSET_INDICES[-1],), mean=True)
+def mia_forward(R_v, R_a, R_t_hat, p, tag, gate_from=0):
+    """Residual imagination (`{tag}.W1`, `.b1`, `.W2`, `.b2`) of the simulated
+    text rows [gate_from:], as one `tensor.imagine` node.
 
-
-def stage2_fuse(q_multv, E, umca, mia=None, gate_from=0):
-    """Second attention stage plus pooling into the final representation r.
-
-    With `mia` (the stage-2 MIA parameters) the text rows [gate_from:] are
-    rewritten by imagination before pooling. Audio and vision may carry 1/F
-    of q_multv's batch rows (see `umca_forward`).
+    H = tanh(cat(R_v, R_a, R_t_hat) @ W1 + b1); out = R_t_hat + tanh(H @ W2 + b2)
+    on those rows; the rows before gate_from pass through. The residual is
+    tanh-bounded, so |out - R_t_hat| <= 1 elementwise. R_v and R_a hold either
+    R_t_hat's rows or only the gated ones (audio and vision shared by the
+    flows stacked in R_t_hat).
     """
-    R_seq = {m: cross_attend(q_multv, E[m], umca.stage2[m], umca.tau) for m in MODALITIES}
-    if mia is not None:
-        R_seq["t"] = mia_forward(R_seq["v"], R_seq["a"], R_seq["t"], mia, gate_from)
-    r = _pool_seq(R_seq, umca.afg2)
+    W1, b1, W2, b2 = (p[f"{tag}.{name}"] for name in ("W1", "b1", "W2", "b2"))
+    return imagine(R_v, R_a, R_t_hat, W1, b1, W2, b2, gate_from)
+
+
+def stage2_fuse(q_multv, E, p, gate_from, tau):
+    """Second attention stage plus pooling into the final representation r:
+    per-row fusion weights, then the modality-weighted sum and its mean over
+    rows as one `tensor.subset_sum` node.
+
+    With `gate_from` an int, the stage-2 imagination (`mia2`) rewrites the
+    text rows [gate_from:] before pooling; None leaves them untouched. Audio
+    and vision may carry 1/F of q_multv's batch rows (see `umca_forward`).
+    """
+    R_seq = {m: cross_attend(q_multv, E[m], p, f"s2.{m}", tau) for m in MODALITIES}
+    if gate_from is not None:
+        R_seq["t"] = mia_forward(R_seq["v"], R_seq["a"], R_seq["t"], p, "mia2", gate_from)
+    w = afg_weights(R_seq["a"], R_seq["v"], R_seq["t"], p, "afg2")  # [..., 7, 3]
+    r = subset_sum(w, [R_seq[m] for m in MODALITIES], (_SUBSET_INDICES[-1],), mean=True)
     return R_seq, r
 
 
-def regress(r, head):
-    """Affine valence head; output is unbounded (no clamping to the label range)."""
-    out = head(r)  # [..., 1]
+def regress(r, p):
+    """Affine valence head (`head.W`, `head.b`); output is unbounded (no
+    clamping to the label range)."""
+    out = affine(r, p["head.W"], p["head.b"])  # [..., 1]
     return out.reshape(r.shape[:-1])
 
 
-def umca_forward(E, umca, mia=None, gate_from=0):
-    """Full two-stage pipeline; `mia` = (stage1 params, stage2 params) gates imagination.
+def umca_forward(E, p, gate_from, tau):
+    """Full two-stage pipeline; an int `gate_from` gates imagination.
 
-    With mia=None (complete flow) the text representations pass through
-    untouched; with the gate on, both text representations are rewritten from
-    audio+vision context before fusion. `gate_from` restricts the gate to the
-    batch rows [gate_from:], so one call can run both flows stacked on the
-    batch axis (complete rows first); 0 gates every row. Those flows share
-    one audio and vision input: E["a"] and E["v"] may carry n batch rows
-    against E["t"]'s F·n, and F is read from those row counts; the gate then
-    covers the last flow's rows, gate_from = (F - 1)·n.
+    With gate_from=None (complete flow) the text representations pass
+    through untouched; with an int, both text representations of the batch
+    rows [gate_from:] are rewritten from audio+vision context before fusion,
+    so one call can run both flows stacked on the batch axis (complete rows
+    first); 0 gates every row. Those flows share one audio and vision input:
+    E["a"] and E["v"] may carry n batch rows against E["t"]'s F·n, and F is
+    read from those row counts; the gate then covers the last flow's rows,
+    gate_from = (F - 1)·n.
     """
-    mia1, mia2 = mia if mia is not None else (None, None)
     flows = E["t"].shape[0] // E["a"].shape[0] if E["t"].ndim == 3 else 1
-    R = {m: cross_attend(umca.query[m], E[m], umca.stage1[m], umca.tau) for m in MODALITIES}
-    if mia1 is not None:  # the n audio/vision rows are the gated rows' context
-        R["t"] = mia_forward(R["v"], R["a"], R["t"], mia1, gate_from)
+    R = {m: cross_attend(p[f"query.{m}"], E[m], p, f"s1.{m}", tau) for m in MODALITIES}
+    if gate_from is not None:  # the n audio/vision rows are the gated rows' context
+        R["t"] = mia_forward(R["v"], R["a"], R["t"], p, "mia1", gate_from)
     if flows > 1:  # the stage-1 audio/vision outputs meet text from here on
         R["a"], R["v"] = (concat([R[m]] * flows, axis=0) for m in ("a", "v"))
-    w1 = afg_weights(R["a"], R["v"], R["t"], umca.afg1)
+    w1 = afg_weights(R["a"], R["v"], R["t"], p, "afg1")
     q_multv = multiview_queries(R, w1)
-    R_seq, r = stage2_fuse(q_multv, E, umca, mia2, gate_from)
-    y_hat = regress(r, umca.head)
+    R_seq, r = stage2_fuse(q_multv, E, p, gate_from, tau)
+    y_hat = regress(r, p)
     return FlowOutputs(stage1=R, afg1_w=w1, q_multv=q_multv, seq=R_seq, r=r, y_hat=y_hat)

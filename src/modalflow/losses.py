@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import require_positive
+from .nn import check_field_types, require_positive
 from .tensor import Tensor, mse, rank_contrast, rmse_halves, weighted_sum
 
 
@@ -38,11 +38,12 @@ class LossWeights:
     tau_rnc: float = 2.0
 
     def __post_init__(self):
+        require_positive("loss config: tau_rnc", self.tau_rnc)  # first, so a non-number names the whole rule
+        check_field_types(self, "loss config")
         for name in ("alpha", "beta", "gamma", "delta"):
             w = getattr(self, name)
             if not math.isfinite(w) or w < 0:
                 raise ValueError(f"loss weight {name} must be finite and non-negative, got {w}")
-        require_positive("loss config: tau_rnc", self.tau_rnc)
 
 
 LOSS_TERMS = ("task", "mkd1", "mkd2", "rs", "rnc", "total")

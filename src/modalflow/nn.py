@@ -1,4 +1,4 @@
-"""Parameterized layers, the flat parameter store, and Adam over it.
+"""The flat parameter store, and Adam over it.
 
 `ParamStore` lays every parameter end to end in one float64 array, `flat`;
 each parameter is a leaf whose `values` is a fixed view into it. Adam's state
@@ -10,11 +10,11 @@ updates `flat` in place, so every view sees it and no `values` is rebound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .tensor import Tensor, affine
+from .tensor import Tensor
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -26,6 +26,22 @@ def require_positive(what, value):
     number: a learning rate or a temperature."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not (math.isfinite(value) and value > 0):
         raise ValueError(f"{what} must be a finite positive number, got {value!r}")
+
+
+# A config field's annotation, as written -> the types its value may have, and their name.
+_FIELD_TYPES = {"int": ((int,), "an int"), "float": ((int, float), "a number"), "bool": ((bool,), "a bool")}
+
+
+def check_field_types(config, what):
+    """Raise TypeError naming `what` and the field unless each field of the
+    dataclass `config` annotated int, float or bool holds such a value; an
+    int passes as a float, a bool only as a bool. Other fields pass."""
+    for f in fields(config):
+        if f.type in _FIELD_TYPES:
+            kinds, phrase = _FIELD_TYPES[f.type]
+            value = getattr(config, f.name)
+            if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+                raise TypeError(f"{what}: {f.name} must be {phrase}, got {value!r}")
 
 
 class ParamStore(dict):
@@ -49,26 +65,6 @@ class ParamStore(dict):
     def snapshot(self):
         """Deep value copy, for checkpointing."""
         return {name: t.values.copy() for name, t in self.items()}
-
-
-@dataclass
-class AffineLayer:
-    """One `tensor.affine` node: x @ W + b on the last axis; W is [in, out], b is [out].
-    `tensor.affine` checks the shapes on each call."""
-
-    W: Tensor
-    b: Tensor
-
-    @property
-    def in_dim(self):
-        return self.W.shape[0]
-
-    @property
-    def out_dim(self):
-        return self.W.shape[1]
-
-    def __call__(self, x):
-        return affine(x, self.W, self.b)
 
 
 @dataclass

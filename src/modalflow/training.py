@@ -8,7 +8,8 @@ shared by both flows. Each flow's half gives the same values as that flow run
 alone, and validation runs both inference modes stacked in the same way. The
 complete rows' text representations act as detached distillation targets for
 the missing rows. Early stopping monitors the complete-mode validation MAE and
-the best-MAE parameters are returned.
+the best-MAE parameters are returned. A forward reads the `ParamStore` in a
+training step, and constant Tensors over the arrays in `_predict`.
 
 The model's input sizes are not configured: `fit` reads each modality's raw
 feature size from the train split. A checkpoint holds what inference reads:
@@ -26,7 +27,7 @@ import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +44,9 @@ from .data import (
     save_record,
     write_tensor,
 )
-from .fusion import MODALITIES, ModelConfig, init_model, param_shapes, param_views, project_modality, umca_forward
+from .fusion import MODALITIES, ModelConfig, init_model, param_shapes, project_modality, umca_forward
 from .losses import LOSS_TERMS, LossWeights, make_report, mkd_loss, rnc_loss, rs_loss, task_loss, total_loss
-from .nn import AdamState, adam_step, require_positive
+from .nn import AdamState, adam_step, check_field_types, require_positive
 from .tensor import Tensor, backward
 
 HISTORY_COLUMNS = ("epoch", *LOSS_TERMS, "val_mae_complete", "val_mae_missing")
@@ -66,13 +67,14 @@ class TrainConfig:
     def __post_init__(self):
         if isinstance(self.weights, dict):
             self.weights = LossWeights(**self.weights)
+        require_positive("train config: lr", self.lr)  # first, so a non-number names the whole rule
+        check_field_types(self, "train config")
         if self.epochs < 1:
             raise ValueError("train config: epochs must be >= 1")
         if self.patience < 0 or self.patience > self.epochs:
             raise ValueError("train config: need 0 <= patience <= epochs")
         if self.batch_size < 2:
             raise ValueError("train config: batch_size must be >= 2 (rank contrast needs pairs)")
-        require_positive("train config: lr", self.lr)
         if self.eval_acc_rule not in ACC_RULES:
             raise ValueError(f"train config: eval_acc_rule must be one of {ACC_RULES}")
 
@@ -88,9 +90,7 @@ class AblationSpec:
     use_rnc: bool = True
 
     def __post_init__(self):
-        for flag in fields(self):
-            if not isinstance(getattr(self, flag.name), bool):
-                raise TypeError(f"ablation flag {flag.name} must be a bool, got {getattr(self, flag.name)!r}")
+        check_field_types(self, "ablation")
 
 
 @dataclass
@@ -108,13 +108,13 @@ class Checkpoint:
 MODES = ("complete", "missing")
 
 
-def _flow(batch, umca, mia, modes, ablation):
-    """One forward pass over the given modes' text stacked on the batch axis,
-    in MODES order, against one shared audio and vision input; the only place
-    the two modes differ.
+def _flow(batch, params, model_config, modes, ablation):
+    """One forward pass of the parameter mapping `params` over the given
+    modes' text stacked on the batch axis, in MODES order, against one shared
+    audio and vision input; the only place the two modes differ.
 
     complete: real text, imagination off. missing: simulated text (zeros when
-    use_sim_text is off), imagination gated by `mia` unless use_mia is off.
+    use_sim_text is off), imagination on its rows unless use_mia is off.
     Each mode's rows see the same graph as that mode alone.
     """
     texts = []
@@ -123,13 +123,12 @@ def _flow(batch, umca, mia, modes, ablation):
             texts.append(batch.text)
         else:
             texts.append(batch.sim_text if ablation.use_sim_text else np.zeros_like(batch.sim_text))
-    gate = mia if "missing" in modes and ablation.use_mia else None
-    gate_from = batch.n * modes.index("missing") if gate is not None else 0
+    gate_from = batch.n * modes.index("missing") if "missing" in modes and ablation.use_mia else None
 
     # audio and vision are the same in every mode: umca_forward shares their n rows
     raws = {"a": batch.audio, "v": batch.vision, "t": texts[0] if len(texts) == 1 else np.concatenate(texts)}
-    E = {m: project_modality(Tensor(raws[m]), m, umca) for m in MODALITIES}
-    return umca_forward(E, umca, gate, gate_from=gate_from)
+    E = {m: project_modality(Tensor(raws[m]), m, params) for m in MODALITIES}
+    return umca_forward(E, params, gate_from, model_config.tau_attn)
 
 
 def run_double_flow(batch, params, model_config, ablation=None):
@@ -137,9 +136,7 @@ def run_double_flow(batch, params, model_config, ablation=None):
     over 2n rows: rows [:n] are the complete flow (real text, imagination off),
     rows [n:] the missing flow (simulated text, imagination on unless
     ablated). Audio and vision run once, over n rows."""
-    ablation = ablation or AblationSpec()
-    umca, mia1, mia2 = param_views(params, model_config)
-    return _flow(batch, umca, (mia1, mia2), MODES, ablation)
+    return _flow(batch, params, model_config, MODES, ablation or AblationSpec())
 
 
 def train_step(batch, store, model_config, optimizer, weights, ablation=None):
@@ -200,8 +197,7 @@ def _predict(dataset, params_values, model_config, modes, ablation, batch_size=2
         raise ValueError(f"each mode must be one of {MODES}, in that order, got {modes!r} (split '{dataset.split}')")
     if dataset.n < 1:
         raise ValueError(f"split '{dataset.split}' has no samples to predict")
-    umca, mia1, mia2 = param_views({name: Tensor(arr) for name, arr in params_values.items()}, model_config)
-    mia = (mia1, mia2)
+    params = {name: Tensor(arr) for name, arr in params_values.items()}
     batches = list(batch_iter(dataset, batch_size // len(modes)))
     preds = [None] * len(batches)
     reps = [None] * len(batches)
@@ -212,7 +208,7 @@ def _predict(dataset, params_values, model_config, modes, ablation, batch_size=2
             for i in range(first, len(batches), 2):
                 if stop.is_set():
                     return
-                out = _flow(batches[i], umca, mia, modes, ablation)
+                out = _flow(batches[i], params, model_config, modes, ablation)
                 preds[i] = out.y_hat.values.reshape(len(modes), batches[i].n)
                 reps[i] = out.r.values.reshape(len(modes), batches[i].n, -1)
                 del out  # the rest of the flow's outputs need not outlive the batch

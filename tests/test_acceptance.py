@@ -16,21 +16,18 @@ from scipy.stats import spearmanr
 from modalflow.data import SynthConfig, generate_dataset, load_dataset, save_dataset
 from modalflow.fusion import (
     MODALITIES,
-    AttentionMaps,
     ModelConfig,
-    UMCAParams,
     afg_weights,
     cross_attend,
     init_model,
+    mia_forward,
     multiview_queries,
-    param_views,
+    project_modality,
     regress,
     stage2_fuse,
     umca_forward,
 )
-from modalflow.imagination import MIAParams, mia_forward
 from modalflow.losses import LossWeights, mkd_loss, rnc_loss, rnc_oracle, rs_loss, task_loss, total_loss
-from modalflow.nn import AffineLayer
 from modalflow.tensor import (
     Tensor,
     affine,
@@ -40,6 +37,7 @@ from modalflow.tensor import (
     grad_check,
     rank_contrast,
     softmax,
+    subset_sum,
 )
 from modalflow.training import (
     AblationSpec,
@@ -107,22 +105,13 @@ def _umca_stage2_case(rng):
         point += _affine_point(rng, d, d) + _affine_point(rng, d, d)
     point += _affine_point(rng, 3 * d, 3)
 
+    names = [f"s2.{m}.{k}.{x}" for m in MODALITIES for k in ("key", "val") for x in ("W", "b")]
+    names += ["afg2.W", "afg2.b"]
+
     def f(p):
         q = p[0]
         E = {m: p[1 + i] for i, m in enumerate(MODALITIES)}
-        maps = {}
-        for i, m in enumerate(MODALITIES):
-            base = 4 + 4 * i
-            maps[m] = AttentionMaps(
-                key=AffineLayer(p[base], p[base + 1]),
-                value=AffineLayer(p[base + 2], p[base + 3]),
-            )
-        umca = UMCAParams(
-            proj={}, query={}, stage1={}, stage2=maps,
-            afg1=None, afg2=AffineLayer(p[16], p[17]),
-            head=None, tau=1.3,
-        )
-        _, r = stage2_fuse(q, E, umca, None)
+        _, r = stage2_fuse(q, E, dict(zip(names, p[4:])), None, 1.3)
         return r.square().sum()
 
     return f, point
@@ -183,9 +172,10 @@ def _grad_cases(rng):
         d, s = 3, 4
         point = [t((2, d)), t((s, d))] + _affine_point(rng, d, d) + _affine_point(rng, d, d)
 
+        names = ("s1.a.key.W", "s1.a.key.b", "s1.a.val.W", "s1.a.val.b")
+
         def f(p):
-            maps = AttentionMaps(key=AffineLayer(p[2], p[3]), value=AffineLayer(p[4], p[5]))
-            return cross_attend(p[0], p[1], maps, tau=1.4).square().sum()
+            return cross_attend(p[0], p[1], dict(zip(names, p[2:])), "s1.a", tau=1.4).square().sum()
 
         return f, point
 
@@ -194,7 +184,7 @@ def _grad_cases(rng):
         point = [t((1, d)) for _ in range(3)] + _affine_point(rng, 3 * d, 3)
 
         def f(p):
-            w = afg_weights(p[0], p[1], p[2], AffineLayer(p[3], p[4]))
+            w = afg_weights(p[0], p[1], p[2], {"afg1.W": p[3], "afg1.b": p[4]}, "afg1")
             return (w * w).sum()
 
         return f, point
@@ -214,8 +204,10 @@ def _grad_cases(rng):
         point = [t((ctx_rows, d)) for _ in range(2)] + [t((rows, d))]
         point += [t((3 * d, hidden)), t((hidden,)), t((hidden, d)), t((d,))]
 
+        names = ("mia1.W1", "mia1.b1", "mia1.W2", "mia1.b2")
+
         def f(p):
-            return mia_forward(p[0], p[1], p[2], MIAParams(p[3], p[4], p[5], p[6]), gate_from).square().sum()
+            return mia_forward(p[0], p[1], p[2], dict(zip(names, p[3:])), "mia1", gate_from).square().sum()
 
         return f, point
 
@@ -305,13 +297,9 @@ def test_criterion_3_detach_contract():
     store_student = init_model(model, raw_dims, seed=0)
 
     def flow(store, text, gate):
-        umca, mia1, mia2 = param_views(store, model)
-        E = {
-            "a": umca.proj["a"](Tensor(rng_inputs["a"])),
-            "v": umca.proj["v"](Tensor(rng_inputs["v"])),
-            "t": umca.proj["t"](Tensor(text)),
-        }
-        return umca_forward(E, umca, mia=(mia1, mia2) if gate else None)
+        raws = {**rng_inputs, "t": text}
+        E = {m: project_modality(Tensor(raws[m]), m, store) for m in MODALITIES}
+        return umca_forward(E, store, 0 if gate else None, model.tau_attn)
 
     rng_inputs = {
         "a": rng.normal(size=(4, 3, 5)),
@@ -344,17 +332,18 @@ def test_criterion_4_structural_identities():
     model = ModelConfig(dim=4, mia_hidden=3)
     raw_dims = {"a": 5, "v": 4, "t": 6}
     store = init_model(model, raw_dims, seed=0)
-    umca, mia1, mia2 = param_views(store, model)
-    E = {m: umca.proj[m](Tensor(rng.normal(size=(3, 4, raw_dims[m])))) for m in MODALITIES}
+    tau = model.tau_attn
+    E = {m: project_modality(Tensor(rng.normal(size=(3, 4, raw_dims[m]))), m, store) for m in MODALITIES}
     checks = {}
 
     # (a) zero-residual imagination bypass is bit-exact
-    zero = MIAParams(
-        W1=Tensor(rng.normal(size=(12, 3))), b1=Tensor(rng.normal(size=3)),
-        W2=Tensor(np.zeros((3, 4))), b2=Tensor(np.zeros(4)),
-    )
-    gated = umca_forward(E, umca, mia=(zero, zero))
-    plain = umca_forward(E, umca)
+    zero = {
+        "W1": Tensor(rng.normal(size=(12, 3))), "b1": Tensor(rng.normal(size=3)),
+        "W2": Tensor(np.zeros((3, 4))), "b2": Tensor(np.zeros(4)),
+    }
+    zeroed = {**store, **{f"{tag}.{name}": t for tag in ("mia1", "mia2") for name, t in zero.items()}}
+    gated = umca_forward(E, zeroed, 0, tau)
+    plain = umca_forward(E, store, None, tau)
     checks["mia_zero_residual_bit_exact"] = np.array_equal(gated.y_hat.values, plain.y_hat.values)
 
     # (b) seven multi-view rows equal their explicit weighted sums exactly
@@ -370,21 +359,20 @@ def test_criterion_4_structural_identities():
 
     # (c) attention rows sum to 1 within 1e-12, read through an identity V
     # (y @ I is y exactly)
-    maps = umca.stage1["a"]
-    K = maps.key(maps.value(E["a"])).tanh()
-    attn = attend(umca.query["a"], K, np.eye(K.shape[-2]), umca.tau).values
+    V = affine(E["a"], store["s1.a.val.W"], store["s1.a.val.b"])
+    K = affine(V, store["s1.a.key.W"], store["s1.a.key.b"]).tanh()
+    attn = attend(store["query.a"], K, np.eye(K.shape[-2]), tau).values
     checks["attention_rows_sum_to_one"] = np.max(np.abs(attn.sum(axis=-1) - 1.0)) < 1e-12
 
     # (d) gate-off pipeline is bit-identical to a pipeline with no imagination code path
-    from modalflow.fusion import _pool_seq
-
-    R1 = {m: cross_attend(umca.query[m], E[m], umca.stage1[m], umca.tau) for m in MODALITIES}
-    w1 = afg_weights(R1["a"], R1["v"], R1["t"], umca.afg1)
+    R1 = {m: cross_attend(store[f"query.{m}"], E[m], store, f"s1.{m}", tau) for m in MODALITIES}
+    w1 = afg_weights(R1["a"], R1["v"], R1["t"], store, "afg1")
     qm = multiview_queries(R1, w1)
-    R_seq = {m: cross_attend(qm, E[m], umca.stage2[m], umca.tau) for m in MODALITIES}
-    r = _pool_seq(R_seq, umca.afg2)
-    y = regress(r, umca.head)
-    out = umca_forward(E, umca, mia=None)
+    R_seq = {m: cross_attend(qm, E[m], store, f"s2.{m}", tau) for m in MODALITIES}
+    w2 = afg_weights(R_seq["a"], R_seq["v"], R_seq["t"], store, "afg2")
+    r = subset_sum(w2, [R_seq[m] for m in MODALITIES], ((0, 1, 2),), mean=True)
+    y = regress(r, store)
+    out = umca_forward(E, store, None, tau)
     checks["gate_off_bit_identical"] = np.array_equal(out.y_hat.values, y.values) and np.array_equal(
         out.r.values, r.values
     )

@@ -286,6 +286,32 @@ def test_eval_checkpoint_with_a_wrong_parameter_shape_fails_cleanly(workdir, tmp
     assert "'param:query.a' has shape (2, 4), the model config gives (1, 4)" in err
 
 
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        ("train", ["train.batch_size=2.5"], "batch_size must be an int, got 2.5"),
+        ("train", ["train.seed=1.5"], "seed must be an int, got 1.5"),
+        ("train", ["model.dim=4.0"], "dim must be an int, got 4.0"),
+        ("gen-data", ["synth.n_train=2.5"], "n_train must be an int, got 2.5"),
+        ("train", ["train.epochs=true", "train.patience=0"], "epochs must be an int, got True"),
+        ("train", ["loss.alpha=true"], "alpha must be a number, got True"),
+    ],
+    ids=["batch_size_float", "seed_float", "dim_float", "n_train_float", "epochs_bool", "alpha_bool"],
+)
+def test_ill_typed_config_value_fails_cleanly(workdir, tmp_path, capsys, command, overrides, message):
+    """An int field takes an int and a float field a number; a bool is
+    neither. Each case once crashed with a traceback or ran as if valid."""
+    args = [command, "--config", str(workdir["config"]), "--out", str(tmp_path / "out")]
+    if command == "train":
+        args += ["--data", str(workdir["data"])]
+    for item in overrides:
+        args += ["--set", item]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_config_file_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"nope": {}}')

@@ -147,6 +147,26 @@ def test_override_that_is_not_a_number_rejected_naming_the_field(tmp_path):
         load_config(write(tmp_path, "{}"), overrides=["train.lr=nan"])
 
 
+def test_an_int_is_a_number_and_tau_attn_may_be_null():
+    cfg = build_config({"train": {"lr": 1}, "loss": {"gamma": 1}, "model": {"tau_attn": None, "dim": 4, "mia_hidden": 2}})
+    assert (cfg.train.lr, cfg.loss.gamma, cfg.model.tau_attn) == (1, 1, 2.0)
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("synth", "seed", 1.0, "synth config: seed must be an int, got 1.0"),
+        ("model", "mia_hidden", True, "model config: mia_hidden must be an int, got True"),
+        ("loss", "gamma", "1", "loss config: gamma must be a number, got '1'"),
+        ("train", "patience", None, "train config: patience must be an int, got None"),
+    ],
+    ids=["synth_seed_float", "model_hidden_bool", "loss_gamma_str", "train_patience_null"],
+)
+def test_ill_typed_value_rejected_naming_section_and_field(section, key, value, message):
+    with pytest.raises(ConfigError, match=rf"'{section}': {message}"):
+        build_config({section: {key: value}})
+
+
 def test_config_echo_roundtrip(tmp_path):
     cfg = build_config({"train": {"epochs": 4, "patience": 1}, "loss": {"delta": 0.0}})
     write_config_echo(cfg, tmp_path)

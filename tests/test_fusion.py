@@ -3,11 +3,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from builders import TINY_RAW_DIMS, make_mia, make_umca, tiny_model_config
+from builders import TINY_RAW_DIMS, TINY_ZERO_RESIDUAL, make_params, tiny_model_config
 from modalflow.fusion import (
     MODALITIES,
     SUBSETS,
-    AttentionMaps,
     FlowOutputs,
     ModelConfig,
     afg_weights,
@@ -15,26 +14,24 @@ from modalflow.fusion import (
     init_model,
     multiview_queries,
     param_shapes,
-    param_views,
     project_modality,
     regress,
     stage2_fuse,
     umca_forward,
 )
-from modalflow.nn import AffineLayer
-from modalflow.tensor import Tensor, attend, backward, grad_check
+from modalflow.tensor import Tensor, attend, backward, grad_check, subset_sum
 
 
-def identity_maps(dim):
-    eye = AffineLayer(Tensor(np.eye(dim)), Tensor(np.zeros(dim)))
-    return AttentionMaps(key=eye, value=AffineLayer(Tensor(np.eye(dim)), Tensor(np.zeros(dim))))
+def identity_params(rng, dim, prefixes=("s1.a",), **overrides):
+    """make_params with identity key and value maps (W = I, b = 0) under each
+    attention prefix."""
+    eye = {f"{prefix}.{k}.W": np.eye(dim) for prefix in prefixes for k in ("key", "val")}
+    zero = {f"{prefix}.{k}.b": np.zeros(dim) for prefix in prefixes for k in ("key", "val")}
+    return make_params(rng, tiny_model_config(dim=dim), TINY_RAW_DIMS, **eye, **zero, **overrides)
 
 
-def random_inputs(rng, umca, batch=2, seq=3):
-    return {
-        m: Tensor(rng.normal(size=(batch, seq, umca.proj[m].out_dim)))
-        for m in MODALITIES
-    }
+def random_inputs(rng, dim=3, batch=2, seq=3):
+    return {m: Tensor(rng.normal(size=(batch, seq, dim))) for m in MODALITIES}
 
 
 # -- configuration -------------------------------------------------------------------
@@ -64,9 +61,8 @@ def test_init_model_deterministic_and_complete():
     assert {m: a[f"proj.{m}.W"].shape for m in MODALITIES} == {m: (d, cfg.dim) for m, d in TINY_RAW_DIMS.items()}
     assert all(np.array_equal(a[k].values, b[k].values) for k in a)
     assert any(not np.array_equal(a[k].values, c[k].values) for k in a)
-    umca, mia1, mia2 = param_views(a, cfg)
-    assert umca.head.out_dim == 1
-    assert mia1.W1 is a["mia1.W1"] and mia2.W1 is a["mia2.W1"]
+    assert a["head.W"].shape == (cfg.dim, 1)
+    assert a["mia1.W1"] is not a["mia2.W1"]
 
 
 def test_init_model_follows_the_shape_table():
@@ -86,11 +82,11 @@ def test_init_model_follows_the_shape_table():
 
 
 def test_project_modality_shape_and_error(rng):
-    umca = make_umca(rng, dim=3, raw_dims=(4, 5, 6))
-    out = project_modality(Tensor(rng.normal(size=(2, 7, 4))), "a", umca)
+    p = make_params(rng, tiny_model_config(), {"a": 4, "v": 5, "t": 6})
+    out = project_modality(Tensor(rng.normal(size=(2, 7, 4))), "a", p)
     assert out.shape == (2, 7, 3)
     with pytest.raises(ValueError, match="raw dim"):
-        project_modality(Tensor(rng.normal(size=(2, 7, 5))), "a", umca)
+        project_modality(Tensor(rng.normal(size=(2, 7, 5))), "a", p)
 
 
 # -- cross attention ---------------------------------------------------------------------
@@ -99,24 +95,24 @@ def test_project_modality_shape_and_error(rng):
 def test_cross_attend_single_row_recovers_value(rng):
     # S = 1: softmax over one key is 1, so R equals the (identity-mapped) value row
     dim = 3
-    maps = identity_maps(dim)
+    p = identity_params(rng, dim)
     E = Tensor(rng.normal(size=(1, dim)))
     Q = Tensor(rng.normal(size=(1, dim)))
-    out = cross_attend(Q, E, maps, tau=1.0)
+    out = cross_attend(Q, E, p, "s1.a", tau=1.0)
     assert np.array_equal(out.values, E.values)
 
 
 def test_cross_attend_identical_values_collapse(rng):
     dim = 3
-    maps = identity_maps(dim)
+    p = identity_params(rng, dim)
     row = rng.normal(size=dim)
     E = Tensor(np.tile(row, (4, 1)))
     Q = Tensor(rng.normal(size=(2, dim)))
-    out = cross_attend(Q, E, maps, tau=1.0)
+    out = cross_attend(Q, E, p, "s1.a", tau=1.0)
     assert np.max(np.abs(out.values - row)) < 1e-12
 
 
-def test_cross_attend_scalar_hand_oracle():
+def test_cross_attend_scalar_hand_oracle(rng):
     # q = 1 row, S = 2, D = 2, identity maps: straight-line recomputation
     E = np.array([[1.0, 0.0], [0.0, 2.0]])
     Q = np.array([[1.0, 1.0]])
@@ -126,28 +122,28 @@ def test_cross_attend_scalar_hand_oracle():
     w = np.exp(scores - scores.max())
     w = w / w.sum()
     expected = w @ E
-    got = cross_attend(Tensor(Q), Tensor(E), identity_maps(2), tau=tau)
+    got = cross_attend(Tensor(Q), Tensor(E), identity_params(rng, 2), "s1.a", tau=tau)
     assert np.max(np.abs(got.values - expected)) < 1e-12
 
 
 def test_cross_attend_rows_in_convex_hull_of_values(rng):
     # identity value map: every output row is a convex combination of E's rows
     dim = 4
-    maps = identity_maps(dim)
+    p = identity_params(rng, dim)
     E = rng.normal(size=(6, dim))
-    out = cross_attend(Tensor(rng.normal(size=(3, dim))), Tensor(E), maps, tau=2.0).values
+    out = cross_attend(Tensor(rng.normal(size=(3, dim))), Tensor(E), p, "s1.a", tau=2.0).values
     lo, hi = E.min(axis=0), E.max(axis=0)
     assert np.all(out >= lo - 1e-12)
     assert np.all(out <= hi + 1e-12)
 
 
 def test_cross_attend_batched_matches_per_sample(rng):
-    umca = make_umca(rng, dim=3)
+    p = make_params(rng, tiny_model_config(), TINY_RAW_DIMS)
     E = rng.normal(size=(4, 5, 3))
     Q = rng.normal(size=(4, 2, 3))
-    batched = cross_attend(Tensor(Q), Tensor(E), umca.stage1["a"], tau=1.3).values
+    batched = cross_attend(Tensor(Q), Tensor(E), p, "s1.a", tau=1.3).values
     for i in range(4):
-        single = cross_attend(Tensor(Q[i]), Tensor(E[i]), umca.stage1["a"], tau=1.3).values
+        single = cross_attend(Tensor(Q[i]), Tensor(E[i]), p, "s1.a", tau=1.3).values
         assert np.max(np.abs(batched[i] - single)) < 1e-12
 
 
@@ -164,27 +160,27 @@ def test_attention_weights_sum_to_one(rng):
 
 def test_afg_uniform_for_zero_map(rng):
     dim = 3
-    afg = AffineLayer(Tensor(np.zeros((3 * dim, 3))), Tensor(np.zeros(3)))
+    afg = {"afg1.W": Tensor(np.zeros((3 * dim, 3))), "afg1.b": Tensor(np.zeros(3))}
     R = [Tensor(rng.normal(size=(2, 1, dim))) for _ in range(3)]
-    w = afg_weights(*R, afg).values
+    w = afg_weights(*R, afg, "afg1").values
     assert np.allclose(w, 1.0 / 3.0, atol=1e-15)
 
 
 def test_afg_rows_sum_to_one(rng):
-    umca = make_umca(rng, dim=3)
+    p = make_params(rng, tiny_model_config(), TINY_RAW_DIMS)
     R = [Tensor(rng.normal(size=(2, 7, 3))) for _ in range(3)]
-    w = afg_weights(*R, umca.afg2).values
+    w = afg_weights(*R, p, "afg2").values
     assert w.shape == (2, 7, 3)
     assert np.all(w > 0)
     assert np.max(np.abs(w.sum(axis=-1) - 1.0)) < 1e-12
 
 
 def test_afg_shape_mismatch(rng):
-    umca = make_umca(rng, dim=3)
+    p = make_params(rng, tiny_model_config(), TINY_RAW_DIMS)
     with pytest.raises(ValueError, match="share shape"):
         afg_weights(
             Tensor(np.zeros((1, 1, 3))), Tensor(np.zeros((1, 1, 3))), Tensor(np.zeros((1, 2, 3))),
-            umca.afg1,
+            p, "afg1",
         )
 
 
@@ -229,10 +225,10 @@ def test_multiview_trimodal_row_is_full_sum(rng):
 
 
 def test_stage2_shapes(rng):
-    umca = make_umca(rng, dim=3)
-    E = random_inputs(rng, umca, batch=2, seq=4)
+    p = make_params(rng, tiny_model_config(), TINY_RAW_DIMS)
+    E = random_inputs(rng, batch=2, seq=4)
     q = Tensor(rng.normal(size=(2, 7, 3)))
-    R_seq, r = stage2_fuse(q, E, umca)
+    R_seq, r = stage2_fuse(q, E, p, None, 1.0)
     assert all(R_seq[m].shape == (2, 7, 3) for m in MODALITIES)
     assert r.shape == (2, 3)
 
@@ -240,12 +236,9 @@ def test_stage2_shapes(rng):
 def test_stage2_scalar_oracle(rng):
     # straight-line numpy recomputation of stage 2 with identity attention maps
     dim = 2
-    umca = make_umca(rng, dim=dim, identity_values=True, tau=1.0)
-    for m in MODALITIES:
-        umca.stage2[m] = identity_maps(dim)
     afg_W = rng.normal(size=(3 * dim, 3))
     afg_b = rng.normal(size=3)
-    umca.afg2 = AffineLayer(Tensor(afg_W), Tensor(afg_b))
+    p = identity_params(rng, dim, [f"s2.{m}" for m in MODALITIES], **{"afg2.W": afg_W, "afg2.b": afg_b})
 
     E = {m: rng.normal(size=(3, dim)) for m in MODALITIES}
     q = rng.normal(size=(7, dim))
@@ -264,7 +257,7 @@ def test_stage2_scalar_oracle(rng):
     fused = sum(w[:, i : i + 1] * R[m] for i, m in enumerate(MODALITIES))
     expected_r = fused.mean(axis=0)
 
-    _, r = stage2_fuse(Tensor(q), {m: Tensor(E[m]) for m in MODALITIES}, umca)
+    _, r = stage2_fuse(Tensor(q), {m: Tensor(E[m]) for m in MODALITIES}, p, None, 1.0)
     assert np.max(np.abs(r.values - expected_r)) < 1e-12
 
 
@@ -272,7 +265,7 @@ def test_regress_is_dot_product(rng):
     dim = 4
     W = rng.normal(size=(dim, 1))
     b = rng.normal(size=1)
-    head = AffineLayer(Tensor(W), Tensor(b))
+    head = {"head.W": Tensor(W), "head.b": Tensor(b)}
     r = rng.normal(size=(5, dim))
     out = regress(Tensor(r), head)
     assert out.shape == (5,)
@@ -283,9 +276,9 @@ def test_regress_is_dot_product(rng):
 
 
 def test_umca_forward_shapes(rng):
-    umca = make_umca(rng, dim=3)
-    E = random_inputs(rng, umca, batch=4, seq=5)
-    out = umca_forward(E, umca)
+    p = make_params(rng, tiny_model_config(), TINY_RAW_DIMS)
+    E = random_inputs(rng, batch=4, seq=5)
+    out = umca_forward(E, p, None, 1.0)
     assert out.stage1["a"].shape == (4, 1, 3)
     assert out.afg1_w.shape == (4, 1, 3)
     assert out.q_multv.shape == (4, 7, 3)
@@ -295,40 +288,37 @@ def test_umca_forward_shapes(rng):
 
 
 def test_umca_gate_off_bit_identical_to_mia_free_pipeline(rng):
-    """mia=None must reproduce a pipeline with no imagination code path at all."""
-    from modalflow.fusion import _pool_seq, cross_attend as ca
+    """gate_from=None must reproduce a pipeline with no imagination code path at all."""
+    p = make_params(rng, tiny_model_config(), TINY_RAW_DIMS)
+    E = random_inputs(rng, batch=2, seq=4)
 
-    umca = make_umca(rng, dim=3)
-    E = random_inputs(rng, umca, batch=2, seq=4)
-
-    R = {m: ca(umca.query[m], E[m], umca.stage1[m], umca.tau) for m in MODALITIES}
-    w1 = afg_weights(R["a"], R["v"], R["t"], umca.afg1)
+    R = {m: cross_attend(p[f"query.{m}"], E[m], p, f"s1.{m}", 1.0) for m in MODALITIES}
+    w1 = afg_weights(R["a"], R["v"], R["t"], p, "afg1")
     q = multiview_queries(R, w1)
-    R_seq = {m: ca(q, E[m], umca.stage2[m], umca.tau) for m in MODALITIES}
-    r = _pool_seq(R_seq, umca.afg2)
-    y = regress(r, umca.head)
+    R_seq = {m: cross_attend(q, E[m], p, f"s2.{m}", 1.0) for m in MODALITIES}
+    w2 = afg_weights(R_seq["a"], R_seq["v"], R_seq["t"], p, "afg2")
+    r = subset_sum(w2, [R_seq[m] for m in MODALITIES], ((0, 1, 2),), mean=True)
+    y = regress(r, p)
 
-    out = umca_forward(E, umca, mia=None)
+    out = umca_forward(E, p, None, 1.0)
     assert np.array_equal(out.r.values, r.values)
     assert np.array_equal(out.y_hat.values, y.values)
 
 
 def test_umca_zero_residual_mia_matches_gate_off(rng):
-    umca = make_umca(rng, dim=3)
-    mia = (make_mia(rng, dim=3, zero_residual=True), make_mia(rng, dim=3, zero_residual=True))
-    E = random_inputs(rng, umca)
-    gated = umca_forward(E, umca, mia=mia)
-    plain = umca_forward(E, umca)
+    p = make_params(rng, tiny_model_config(), TINY_RAW_DIMS, **TINY_ZERO_RESIDUAL)
+    E = random_inputs(rng)
+    gated = umca_forward(E, p, 0, 1.0)
+    plain = umca_forward(E, p, None, 1.0)
     assert np.array_equal(gated.y_hat.values, plain.y_hat.values)
     assert np.array_equal(gated.r.values, plain.r.values)
 
 
 def test_umca_gate_changes_text_representation_only_through_mia(rng):
-    umca = make_umca(rng, dim=3)
-    mia = (make_mia(rng, dim=3), make_mia(rng, dim=3))
-    E = random_inputs(rng, umca)
-    gated = umca_forward(E, umca, mia=mia)
-    plain = umca_forward(E, umca)
+    p = make_params(rng, tiny_model_config(), TINY_RAW_DIMS)
+    E = random_inputs(rng)
+    gated = umca_forward(E, p, 0, 1.0)
+    plain = umca_forward(E, p, None, 1.0)
     assert not np.array_equal(gated.stage1["t"].values, plain.stage1["t"].values)
     assert np.array_equal(gated.stage1["a"].values, plain.stage1["a"].values)
     assert np.array_equal(gated.stage1["v"].values, plain.stage1["v"].values)
@@ -343,7 +333,6 @@ def test_shared_audio_vision_rows_match_the_duplicated_layout(rng):
     store = init_model(cfg, TINY_RAW_DIMS, seed=2)
     for t in store.values():
         t.values *= 30.0  # at init scale some gradients are all cancellation noise
-    umca, mia1, mia2 = param_views(store, cfg)
     n = 5
     raws = {m: rng.normal(size=(n, 3, TINY_RAW_DIMS[m])) for m in ("a", "v")}
     raws["t"] = rng.normal(size=(2 * n, 3, TINY_RAW_DIMS["t"]))
@@ -353,8 +342,8 @@ def test_shared_audio_vision_rows_match_the_duplicated_layout(rng):
     }
     outs, grads = {}, {}
     for name, layout in layouts.items():
-        E = {m: project_modality(Tensor(layout[m]), m, umca) for m in MODALITIES}
-        out = umca_forward(E, umca, mia=(mia1, mia2), gate_from=n)
+        E = {m: project_modality(Tensor(layout[m]), m, store) for m in MODALITIES}
+        out = umca_forward(E, store, n, cfg.tau_attn)
         g = backward(out.y_hat.square().sum() + out.seq["t"].square().sum())
         outs[name], grads[name] = out, {p: g.get(t) for p, t in store.items()}
 
@@ -375,9 +364,8 @@ def test_umca_gradient_check_end_to_end(rng):
 
     def f(p):
         view = dict(zip(names, p))
-        umca, mia1, mia2 = param_views(view, cfg)
-        E = {m: project_modality(Tensor(raws[m]), m, umca) for m in MODALITIES}
-        out = umca_forward(E, umca, mia=(mia1, mia2))
+        E = {m: project_modality(Tensor(raws[m]), m, view) for m in MODALITIES}
+        out = umca_forward(E, view, 0, cfg.tau_attn)
         return out.y_hat.square().sum()
 
     point = [Tensor(store[n].values * 10.0) for n in names]  # scale up so grads are non-trivial
@@ -387,12 +375,11 @@ def test_umca_gradient_check_end_to_end(rng):
 def test_umca_all_params_receive_gradient(rng):
     cfg = tiny_model_config()
     store = init_model(cfg, TINY_RAW_DIMS, seed=1)
-    umca, mia1, mia2 = param_views(store, cfg)
     E = {
-        m: project_modality(Tensor(rng.normal(size=(3, 2, TINY_RAW_DIMS[m]))), m, umca)
+        m: project_modality(Tensor(rng.normal(size=(3, 2, TINY_RAW_DIMS[m]))), m, store)
         for m in MODALITIES
     }
-    out = umca_forward(E, umca, mia=(mia1, mia2))
+    out = umca_forward(E, store, 0, cfg.tau_attn)
     grads = backward(out.y_hat.square().sum())
     for name, p in store.items():
         assert p in grads, f"no gradient reached '{name}'"

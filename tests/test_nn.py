@@ -7,11 +7,10 @@ from modalflow.nn import (
     ADAM_BETA2,
     ADAM_EPS,
     AdamState,
-    AffineLayer,
     ParamStore,
     adam_step,
 )
-from modalflow.tensor import GradMap, ShapeError, Tensor, backward
+from modalflow.tensor import GradMap, ShapeError, Tensor, affine, backward
 
 
 # -- initialization and the store ----------------------------------------------------
@@ -60,21 +59,19 @@ def test_store_snapshot_copies_values():
     assert np.array_equal(snap["w"], expected)
 
 
-# -- layers ------------------------------------------------------------------------------
+# -- the affine primitive every model layer calls -----------------------------------------
 
 
 def test_affine_matches_numpy(rng):
     W = rng.normal(size=(4, 3))
     b = rng.normal(size=3)
     x = rng.normal(size=(5, 4))
-    layer = AffineLayer(Tensor(W), Tensor(b))
-    assert np.max(np.abs(layer(Tensor(x)).values - (x @ W + b))) < 1e-14
+    assert np.max(np.abs(affine(Tensor(x), Tensor(W), Tensor(b)).values - (x @ W + b))) < 1e-14
 
 
 def test_affine_shape_validation():
-    layer = AffineLayer(Tensor(np.ones((4, 3))), Tensor(np.ones(4)))
     with pytest.raises(ShapeError, match="affine"):
-        layer(Tensor(np.ones((5, 4))))
+        affine(Tensor(np.ones((5, 4))), Tensor(np.ones((4, 3))), Tensor(np.ones(4)))
 
 
 # -- adam ---------------------------------------------------------------------------------

@@ -178,17 +178,16 @@ def test_audio_and_vision_run_once_per_step(monkeypatch):
     synth = SynthConfig(n_train=32, n_val=1, n_test=1)
     batch = first_batch(generate_dataset(synth)["train"], 32)
     store = init_model(model, {m: synth.raw_dim(m) for m in MODALITIES}, seed=0)
-    stage_of = {id(store[f"{s}.{m}.key.W"]): (s, m) for s in ("s1", "s2") for m in MODALITIES}
     projected, attended = {}, {}
     real_project, real_attend = training.project_modality, fusion.cross_attend
 
-    def project(raw, m, umca):
+    def project(raw, m, p):
         projected[m] = raw.shape[0]
-        return real_project(raw, m, umca)
+        return real_project(raw, m, p)
 
-    def attend(Q, E, maps, *args):
-        attended[stage_of[id(maps.key.W)]] = E.shape[0]
-        return real_attend(Q, E, maps, *args)
+    def attend(Q, E, p, prefix, *args):
+        attended[tuple(prefix.split("."))] = E.shape[0]
+        return real_attend(Q, E, p, prefix, *args)
 
     monkeypatch.setattr(training, "project_modality", project)
     monkeypatch.setattr(fusion, "cross_attend", attend)
@@ -647,10 +646,10 @@ def log_flows(monkeypatch, before_forward=None):
 
 def serial_predict(dataset, checkpoint, modes, batch_size):
     """The one-thread per-batch loop that _predict splits between two threads."""
-    umca, mia1, mia2 = fusion.param_views({k: Tensor(v) for k, v in checkpoint.params.items()}, checkpoint.model_config)
+    params = {k: Tensor(v) for k, v in checkpoint.params.items()}
     preds, reps = [], []
     for batch in batch_iter(dataset, batch_size // len(modes)):
-        out = training._flow(batch, umca, (mia1, mia2), modes, checkpoint.ablation)
+        out = training._flow(batch, params, checkpoint.model_config, modes, checkpoint.ablation)
         preds.append(out.y_hat.values.reshape(len(modes), batch.n))
         reps.append(out.r.values.reshape(len(modes), batch.n, -1))
     return np.concatenate(preds, axis=1), np.concatenate(reps, axis=1)
@@ -919,8 +918,13 @@ def test_manifests_list_format_dtype_fields_then_tensor_table(tiny_data, fitted,
         ("adam_group", r"'adam_m:head\.W'"),
         ("v1_manifest", r"format 'modalflow-checkpoint-v1'"),
         ("v2_manifest", r"format 'modalflow-checkpoint-v2'"),
+        ("epochs_zero", r"'train_config': train config: epochs must be >= 1"),
+        ("dim_zero", r"'model_config': model config: dim must be positive"),
+        ("alpha_negative", r"'train_config': loss weight alpha must be finite and non-negative"),
+        ("batch_size_float", r"'train_config': train config: batch_size must be an int, got 2\.5"),
     ],
-    ids=["truncated_file", "declared_bytes", "unknown_group", "adam_group", "v1_manifest", "v2_manifest"],
+    ids=["truncated_file", "declared_bytes", "unknown_group", "adam_group", "v1_manifest", "v2_manifest",
+         "epochs_zero", "dim_zero", "alpha_negative", "batch_size_float"],
 )
 def test_load_checkpoint_rejects_corruption(fitted, tmp_path, kind, match):
     save_checkpoint(fitted[0], tmp_path / "ckpt")
@@ -939,6 +943,14 @@ def test_load_checkpoint_rejects_corruption(fitted, tmp_path, kind, match):
     elif kind == "v2_manifest":  # a v3 manifest dressed as v2: still refused, there is no v2 reader
         manifest["format"] = "modalflow-checkpoint-v2"
         manifest["optimizer_step"] = 1
+    elif kind == "epochs_zero":  # a stored config that its class's checks refuse
+        manifest["train_config"]["epochs"] = 0
+    elif kind == "dim_zero":
+        manifest["model_config"]["dim"] = 0
+    elif kind == "alpha_negative":
+        manifest["train_config"]["weights"]["alpha"] = -1
+    elif kind == "batch_size_float":
+        manifest["train_config"]["batch_size"] = 2.5
     else:  # a manifest written before the model's shape settings were dropped
         manifest["format"] = "modalflow-checkpoint-v1"
         manifest["model_config"].update(seq_len=2, raw_dim_a=3, raw_dim_v=2, raw_dim_t=4)
