@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .data import SynthConfig
 from .fusion import ModelConfig
@@ -49,16 +50,12 @@ class RunConfig:
 # train fields owned by other sections; not settable or echoed under train
 _TRAIN_OWNED_ELSEWHERE = ("weights", "eval_acc_rule")
 
-_SECTIONS = {
-    "synth": SynthConfig,
-    "model": ModelConfig,
-    "loss": LossWeights,
-    "train": TrainConfig,
-    "eval": EvalConfig,
-}
+_SECTIONS = get_type_hints(RunConfig)  # section name -> its class, in field order
 
 
 def _build_section(name, cls, data):
+    if not isinstance(data, dict):
+        raise ConfigError(f"section '{name}' is not an object")
     allowed = {f.name for f in fields(cls)}
     if name == "train":
         allowed.difference_update(_TRAIN_OWNED_ELSEWHERE)
@@ -79,7 +76,7 @@ def build_config(raw):
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section '{section}'")
     parts = {
-        name: _build_section(name, cls, dict(raw.get(name, {})))
+        name: _build_section(name, cls, raw.get(name, {}))
         for name, cls in _SECTIONS.items()
     }
     return RunConfig(**parts)

@@ -77,6 +77,8 @@ class SynthConfig:
                 raise DatasetError(f"synth config: {name} must be >= 0")
         if not 0.0 <= self.text_degradation <= 1.0:
             raise DatasetError(f"synth config: text_degradation must be in [0, 1], got {self.text_degradation}")
+        if self.seed < 0:
+            raise DatasetError(f"synth config: seed must be >= 0, got {self.seed}")
 
     def raw_dim(self, m):
         return {"a": self.raw_dim_a, "v": self.raw_dim_v, "t": self.raw_dim_t}[m]

@@ -145,9 +145,8 @@ def cross_attend(Q, E, p, prefix, tau):
 
 def afg_weights(R_a, R_v, R_t, p, prefix):
     """Softmax fusion weights over the three modalities, per leading position,
-    from the gathering map `{prefix}.W`, `{prefix}.b`."""
-    if R_a.shape != R_v.shape or R_a.shape != R_t.shape:
-        raise ValueError(f"afg: representations must share shape, got {R_a.shape}, {R_v.shape}, {R_t.shape}")
+    from the gathering map `{prefix}.W`, `{prefix}.b`; `concat` and `affine`
+    reject representations of unequal shapes."""
     x = concat([R_a, R_v, R_t], axis=-1)
     return softmax(affine(x, p[f"{prefix}.W"], p[f"{prefix}.b"]))
 

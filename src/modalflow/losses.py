@@ -48,6 +48,10 @@ class LossWeights:
 
 LOSS_TERMS = ("task", "mkd1", "mkd2", "rs", "rnc", "total")
 
+# Each term of the total, in LOSS_TERMS order, with the LossWeights field
+# that weighs it; the task term has weight 1.0.
+WEIGHTED_TERMS = (("task", None), ("mkd1", "alpha"), ("mkd2", "beta"), ("rs", "gamma"), ("rnc", "delta"))
+
 
 @dataclass
 class LossReport:
@@ -103,20 +107,15 @@ def rnc_loss(reps, labels, tau_rnc):
     O(n^2) memory plus the differences of one fixed-size block of anchor
     rows: no [n, n, D] or O(n^3) array. Representations more than ~745 * tau
     apart make exp(-d/tau) underflow, and `tensor.DomainError` is raised.
+    `rank_contrast` checks the shape of reps and tau; the labels are checked
+    here.
     """
     reps = reps if isinstance(reps, Tensor) else Tensor(reps)
     labels = np.asarray(labels, dtype=np.float64)
-    if reps.ndim != 2:
-        raise ValueError(f"rnc_loss: reps must be [2N, D], got {reps.shape}")
-    n = reps.shape[0]
-    if n < 2:
-        raise ValueError(f"rnc_loss: need at least 2 representations, got {n}")
-    if labels.shape != (n,):
-        raise ValueError(f"rnc_loss: labels shape {labels.shape} != ({n},)")
+    if labels.ndim != 1 or labels.shape != reps.shape[:1]:
+        raise ValueError(f"rnc_loss: labels shape {labels.shape} does not match the rows of reps {reps.shape}")
     if not np.isfinite(labels).all():
         raise ValueError("rnc_loss: labels must be finite")
-    if not tau_rnc > 0:
-        raise ValueError(f"rnc_loss: tau must be positive, got {tau_rnc}")
 
     label_dist = np.abs(labels[:, None] - labels[None, :])
     # the anchor sorts below every candidate, so it enters no denominator
@@ -152,21 +151,18 @@ def rnc_oracle(reps, labels, tau_rnc):
     return -total / (n * (n - 1))
 
 
-def total_loss(task, weights, mkd1=None, mkd2=None, rs=None, rnc=None):
-    """Weighted sum, the task term at weight 1; ablated terms pass None and
-    contribute exactly zero."""
-    terms, ws = [task], [1.0]
-    for term, w in ((mkd1, weights.alpha), (mkd2, weights.beta), (rs, weights.gamma), (rnc, weights.delta)):
-        if term is not None:
-            terms.append(term)
-            ws.append(w)
-    return weighted_sum(terms, ws)
+def total_loss(terms, weights):
+    """Weighted sum of the term name -> Tensor mapping `terms`, in
+    WEIGHTED_TERMS order; an ablated term is absent and contributes exactly
+    zero."""
+    present = [(name, field) for name, field in WEIGHTED_TERMS if name in terms]
+    return weighted_sum(
+        [terms[name] for name, _ in present], [1.0 if field is None else getattr(weights, field) for _, field in present]
+    )
 
 
-def make_report(total, task, mkd1=None, mkd2=None, rs=None, rnc=None):
-    """Per-term float report; `total` is the graph's weighted sum from total_loss."""
-
-    def val(t):
-        return 0.0 if t is None else t.item()
-
-    return LossReport(task=val(task), mkd1=val(mkd1), mkd2=val(mkd2), rs=val(rs), rnc=val(rnc), total=total.item())
+def make_report(terms, total):
+    """Per-term float report of the mapping `terms`, an absent term at 0.0;
+    `total` is the graph's weighted sum from total_loss."""
+    values = {name: terms[name].item() if name in terms else 0.0 for name, _ in WEIGHTED_TERMS}
+    return LossReport(**values, total=total.item())

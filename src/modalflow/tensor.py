@@ -87,8 +87,6 @@ class Tensor:
         return sub(self, _lift(other))
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
         return mul(self, _lift(other))
 
     # -- elementwise / reduction methods --------------------------------------
@@ -100,13 +98,14 @@ class Tensor:
         return sqrt(self)
 
     def square(self):
-        return square(self)
+        return mul(self, self)
 
     def sum(self, axis=None, keepdims=False):
         return reduce_sum(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
+        total = reduce_sum(self, axis=axis, keepdims=keepdims)
+        return total * (total.size / self.size)  # 1 / (entries per sum), correctly rounded
 
     def reshape(self, shape):
         return reshape(self, shape)
@@ -185,16 +184,6 @@ def mul(a, b):
         return ga, gb
 
     return _result("mul", av * bv, (a, b), bwd)
-
-
-def scale(a, factor):
-    a = _lift(a)
-    factor = float(factor)
-
-    def bwd(g):
-        return (g * factor,)
-
-    return _result("scale", a.values * factor, (a,), bwd)
 
 
 def _affine_values(xv, Wv, bv):
@@ -314,16 +303,6 @@ def sqrt(a):
         return (g * (0.5 / np.maximum(y, 1e-100)),)
 
     return _result("sqrt", y, (a,), bwd)
-
-
-def square(a):
-    a = _lift(a)
-    av = a.values
-
-    def bwd(g):
-        return (g * (2.0 * av),)
-
-    return _result("square", av * av, (a,), bwd)
 
 
 def _row_max(z):
@@ -479,9 +458,7 @@ def rank_contrast(a, keys, tau):
         raise ShapeError(f"rank_contrast: need [n, D] with n >= 2 and [n, n] keys, got {a.shape} and {keys.shape}")
     if np.isnan(keys).any():
         raise DomainError("rank_contrast: keys contain NaN")
-    tau = float(tau)
-    if not tau > 0.0:
-        raise DomainError(f"rank_contrast: temperature must be positive, got {tau}")
+    tau = _check_tau("rank_contrast", tau)
     n = a.shape[0]
     av = a.values
     # one block of anchor rows at a time, upper triangle only, mirrored below
@@ -544,16 +521,6 @@ def reduce_sum(a, axis=None, keepdims=False):
     return _result("sum", out, (a,), bwd)
 
 
-def reduce_mean(a, axis=None, keepdims=False):
-    a = _lift(a)
-    axes = _normalize_axes(a, axis)
-    if axes is None:
-        count = a.size
-    else:
-        count = int(np.prod([a.shape[ax] for ax in axes]))
-    return scale(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
 def _normalize_axes(a, axis):
     if axis is None:
         return None
@@ -613,7 +580,7 @@ def subset_sum(w, R, subsets, mean=False):
     sum of w[..., i:i+1] * R[i] over i in s, added in s's order; the subsets,
     which cover every index of R, give rows concatenated on axis -2, or, with
     `mean`, averaged over it. The chain of `narrow`, `mul`, `add` and
-    `concat` (or `mean`) nodes as one node.
+    `concat` (or `sum` and a `mul` by 1/q) nodes as one node.
     """
     w = _lift(w)
     R = [_lift(t) for t in R]
@@ -719,8 +686,8 @@ def _mean_square(diff):
 
 
 def mse(y, y_hat):
-    """Mean of (y - y_hat)**2 over all entries: the chain `sub`, `square`,
-    `mean` as one node."""
+    """Mean of (y - y_hat)**2 over all entries: the chain `sub`, `mul`,
+    `sum`, `mul` as one node."""
     y, y_hat = _lift(y), _lift(y_hat)
     if y.shape != y_hat.shape or y.size == 0:
         raise ShapeError(f"mse: need two equal non-empty shapes, got {y.shape} and {y_hat.shape}")
@@ -735,8 +702,8 @@ def mse(y, y_hat):
 
 def rmse_halves(x, detach_first=False):
     """sqrt(mean((a - b)**2)) between the halves a = x[:n] and b = x[n:] of
-    x's 2n leading rows: the chain `narrow` x2, `sub`, `square`, `sum`,
-    `scale`, `sqrt` as one node. With `detach_first` no gradient reaches a,
+    x's 2n leading rows: the chain `narrow` x2, `sub`, `mul`, `sum`, `mul`,
+    `sqrt` as one node. With `detach_first` no gradient reaches a,
     as if it were detached. The gradient at a distance of 0 is 0, as in `sqrt`.
     """
     x = _lift(x)
@@ -760,7 +727,7 @@ def rmse_halves(x, detach_first=False):
 
 def weighted_sum(terms, weights):
     """terms[0] * weights[0] + terms[1] * weights[1] + ... in that order, over
-    same-shape tensors: the chain of `scale` and `add` nodes as one node. A
+    same-shape tensors: the chain of `mul` and `add` nodes as one node. A
     weight of 1.0 keeps its term's bits."""
     terms = [_lift(t) for t in terms]
     weights = [float(w) for w in weights]

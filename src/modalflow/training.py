@@ -67,6 +67,8 @@ class TrainConfig:
     def __post_init__(self):
         if isinstance(self.weights, dict):
             self.weights = LossWeights(**self.weights)
+        elif not isinstance(self.weights, LossWeights):
+            raise TypeError(f"train config: weights must be an object of loss weights, got {self.weights!r}")
         require_positive("train config: lr", self.lr)  # first, so a non-number names the whole rule
         check_field_types(self, "train config")
         if self.epochs < 1:
@@ -75,6 +77,8 @@ class TrainConfig:
             raise ValueError("train config: need 0 <= patience <= epochs")
         if self.batch_size < 2:
             raise ValueError("train config: batch_size must be >= 2 (rank contrast needs pairs)")
+        if self.seed < 0:
+            raise ValueError(f"train config: seed must be >= 0, got {self.seed}")
         if self.eval_acc_rule not in ACC_RULES:
             raise ValueError(f"train config: eval_acc_rule must be one of {ACC_RULES}")
 
@@ -147,18 +151,17 @@ def train_step(batch, store, model_config, optimizer, weights, ablation=None):
 
     # Both flows feed the task loss (2n rows, labels duplicated) so one head
     # stays competent in both modes.
-    task = task_loss(labels2, flow.y_hat)
-    mkd1 = mkd2 = rs = rnc = None
+    terms = {"task": task_loss(labels2, flow.y_hat)}
     if ablation.use_mkd:
-        mkd1 = mkd_loss(flow.stage1["t"])
-        mkd2 = mkd_loss(flow.seq["t"])
+        terms["mkd1"] = mkd_loss(flow.stage1["t"])
+        terms["mkd2"] = mkd_loss(flow.seq["t"])
     if ablation.use_rs:
-        rs = rs_loss(flow.r)
+        terms["rs"] = rs_loss(flow.r)
     if ablation.use_rnc and weights.delta > 0:
-        rnc = rnc_loss(flow.r, labels2, weights.tau_rnc)
+        terms["rnc"] = rnc_loss(flow.r, labels2, weights.tau_rnc)
 
-    total = total_loss(task, weights, mkd1=mkd1, mkd2=mkd2, rs=rs, rnc=rnc)
-    report = make_report(total, task, mkd1=mkd1, mkd2=mkd2, rs=rs, rnc=rnc)
+    total = total_loss(terms, weights)
+    report = make_report(terms, total)
     if not np.isfinite(report.total):
         bad = [name for name, v in zip(LOSS_TERMS, report.as_row()) if not np.isfinite(v)]
         raise FloatingPointError(f"train_step: non-finite loss term(s): {', '.join(bad)}")
@@ -288,9 +291,15 @@ def write_similarity_csv(path, matrix, labels):
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["label"] + [repr(float(y)) for y in labels])
+        writer.writerow(["label", *_csv_cells(labels)])
         for y, row in zip(labels, matrix):
-            writer.writerow([repr(float(y))] + [repr(float(v)) for v in row])
+            writer.writerow(_csv_cells([y, *row]))
+
+
+def _csv_cells(values):
+    """The one cell rule of every CSV this module writes: ints as they are,
+    any other number as repr(float(v)), which round-trips exactly."""
+    return [v if isinstance(v, int) else repr(float(v)) for v in values]
 
 
 # -- training loop -------------------------------------------------------------------
@@ -368,7 +377,7 @@ def write_history_csv(path, history):
         writer = csv.writer(fh)
         writer.writerow(HISTORY_COLUMNS)
         for row in history:
-            writer.writerow([row["epoch"]] + [repr(float(row[c])) for c in HISTORY_COLUMNS[1:]])
+            writer.writerow(_csv_cells(row[c] for c in HISTORY_COLUMNS))
 
 
 # -- checkpoint persistence ------------------------------------------------------------
@@ -481,11 +490,6 @@ def _ablation_run(payload):
 
 def _flag_values(spec):
     return [int(getattr(spec, name)) for _, name in ABLATION_FLAGS]
-
-
-def _csv_cells(values):
-    """Ints as written, floats by repr (round-trip exact)."""
-    return [v if isinstance(v, int) else repr(v) for v in values]
 
 
 def run_ablation(datasets, model_config, train_config, specs=DEFAULT_ABLATION_GRID, n_seeds=3, out_dir=None, jobs=1):

@@ -27,7 +27,7 @@ from modalflow.fusion import (
     stage2_fuse,
     umca_forward,
 )
-from modalflow.losses import LossWeights, mkd_loss, rnc_loss, rnc_oracle, rs_loss, task_loss, total_loss
+from modalflow.losses import LOSS_TERMS, LossWeights, mkd_loss, rnc_loss, rnc_oracle, rs_loss, task_loss, total_loss
 from modalflow.tensor import (
     Tensor,
     affine,
@@ -229,7 +229,7 @@ def _grad_cases(rng):
             "loss_mkd": lambda: (lambda p: mkd_loss(concat([teacher, p[0]], axis=0)), [t((2, 3))]),
             "loss_rs": lambda: (lambda p: rs_loss(p[0]), [t((4, 3))]),
             "loss_total": lambda: (
-                lambda p: total_loss(p[0], LossWeights(), mkd1=p[1], mkd2=p[2], rs=p[3], rnc=p[4]).square(),
+                lambda p: total_loss(dict(zip(LOSS_TERMS, p)), LossWeights()).square(),
                 [t(()) for _ in range(5)],
             ),
             "loss_rnc": lambda: (lambda p: rnc_loss(p[0], rnc_labels, 2.0), [t((8, 3))]),

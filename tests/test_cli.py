@@ -295,8 +295,11 @@ def test_eval_checkpoint_with_a_wrong_parameter_shape_fails_cleanly(workdir, tmp
         ("gen-data", ["synth.n_train=2.5"], "n_train must be an int, got 2.5"),
         ("train", ["train.epochs=true", "train.patience=0"], "epochs must be an int, got True"),
         ("train", ["loss.alpha=true"], "alpha must be a number, got True"),
+        ("gen-data", ["synth.seed=-1"], "synth config: seed must be >= 0, got -1"),
+        ("train", ["train.seed=-1"], "train config: seed must be >= 0, got -1"),
     ],
-    ids=["batch_size_float", "seed_float", "dim_float", "n_train_float", "epochs_bool", "alpha_bool"],
+    ids=["batch_size_float", "seed_float", "dim_float", "n_train_float", "epochs_bool", "alpha_bool",
+         "synth_seed_negative", "train_seed_negative"],
 )
 def test_ill_typed_config_value_fails_cleanly(workdir, tmp_path, capsys, command, overrides, message):
     """An int field takes an int and a float field a number; a bool is
@@ -310,6 +313,15 @@ def test_ill_typed_config_value_fails_cleanly(workdir, tmp_path, capsys, command
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+def test_config_section_that_is_not_an_object_fails_cleanly(tmp_path, capsys):
+    bad = tmp_path / "cfg.json"
+    bad.write_text('{"train": 5}')
+    code = main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "d")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "section 'train' is not an object" in err and "Traceback" not in err
 
 
 def test_bad_config_file_exit_code(tmp_path, capsys):

@@ -167,6 +167,24 @@ def test_ill_typed_value_rejected_naming_section_and_field(section, key, value, 
         build_config({section: {key: value}})
 
 
+@pytest.mark.parametrize(
+    "text, section",
+    [
+        ('{"train": 5}', "train"),
+        ('{"train": null}', "train"),
+        ('{"train": [["lr", 0.1]]}', "train"),
+        ('{"loss": [["alpha", 0.5]]}', "loss"),
+        ('{"train": "ab"}', "train"),
+    ],
+    ids=["train_int", "train_null", "train_pairs", "loss_pairs", "train_str"],
+)
+def test_section_that_is_not_an_object_rejected(tmp_path, text, section):
+    """Each once died with a TypeError, ran as if the pairs were an object,
+    or failed with dict()'s message, which names no section."""
+    with pytest.raises(ConfigError, match=f"section '{section}' is not an object"):
+        load_config(write(tmp_path, text))
+
+
 def test_config_echo_roundtrip(tmp_path):
     cfg = build_config({"train": {"epochs": 4, "patience": 1}, "loss": {"delta": 0.0}})
     write_config_echo(cfg, tmp_path)

@@ -19,7 +19,7 @@ from modalflow.fusion import (
     stage2_fuse,
     umca_forward,
 )
-from modalflow.tensor import Tensor, attend, backward, grad_check, subset_sum
+from modalflow.tensor import ShapeError, Tensor, attend, backward, grad_check, subset_sum
 
 
 def identity_params(rng, dim, prefixes=("s1.a",), **overrides):
@@ -177,7 +177,7 @@ def test_afg_rows_sum_to_one(rng):
 
 def test_afg_shape_mismatch(rng):
     p = make_params(rng, tiny_model_config(), TINY_RAW_DIMS)
-    with pytest.raises(ValueError, match="share shape"):
+    with pytest.raises(ShapeError, match="concat"):
         afg_weights(
             Tensor(np.zeros((1, 1, 3))), Tensor(np.zeros((1, 1, 3))), Tensor(np.zeros((1, 2, 3))),
             p, "afg1",

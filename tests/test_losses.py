@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from modalflow.losses import (
     LOSS_TERMS,
+    WEIGHTED_TERMS,
     LossReport,
     LossWeights,
     make_report,
@@ -220,15 +221,15 @@ def test_rnc_gradient_check(rng):
 
 
 def test_rnc_validation(rng):
-    with pytest.raises(ValueError, match="2N, D"):
+    with pytest.raises(ValueError, match=r"need \[n, D\] with n >= 2"):
         rnc_loss(Tensor(rng.normal(size=(4,))), np.ones(4), 1.0)
-    with pytest.raises(ValueError, match="at least 2"):
+    with pytest.raises(ValueError, match=r"need \[n, D\] with n >= 2"):
         rnc_loss(Tensor(rng.normal(size=(1, 3))), np.ones(1), 1.0)
     with pytest.raises(ValueError, match="labels shape"):
         rnc_loss(Tensor(rng.normal(size=(4, 3))), np.ones(3), 1.0)
-    with pytest.raises(ValueError, match="tau"):
+    with pytest.raises(ValueError, match="temperature"):
         rnc_loss(Tensor(rng.normal(size=(4, 3))), np.ones(4), -1.0)
-    with pytest.raises(ValueError, match="tau"):
+    with pytest.raises(ValueError, match="temperature"):
         rnc_loss(Tensor(rng.normal(size=(4, 3))), np.ones(4), float("nan"))
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
@@ -254,32 +255,42 @@ def test_rnc_oracle_guards():
 def test_total_loss_weighted_sum(rng):
     w = LossWeights(alpha=0.3, beta=0.7, gamma=0.2, delta=0.05)
     terms = [Tensor(np.array(v)) for v in (1.0, 2.0, 3.0, 4.0, 5.0)]
-    total = total_loss(terms[0], w, mkd1=terms[1], mkd2=terms[2], rs=terms[3], rnc=terms[4])
+    total = total_loss(dict(zip(LOSS_TERMS, terms)), w)
     expected = 1.0 + 0.3 * 2.0 + 0.7 * 3.0 + 0.2 * 4.0 + 0.05 * 5.0
     assert total.item() == pytest.approx(expected, abs=1e-14)
 
 
 def test_total_loss_none_terms_contribute_zero():
     w = LossWeights(alpha=100.0, beta=100.0, gamma=100.0, delta=100.0)
-    total = total_loss(Tensor(np.array(1.5)), w)
+    total = total_loss({"task": Tensor(np.array(1.5))}, w)
     assert total.item() == 1.5
 
 
 def test_report_weighted_sum_identity(rng):
     w = LossWeights(alpha=0.3, beta=0.3, gamma=1.0, delta=0.1)
     vals = rng.uniform(0, 2, 5)
-    terms = [Tensor(np.array(v)) for v in vals]
-    total = total_loss(terms[0], w, mkd1=terms[1], mkd2=terms[2], rs=terms[3], rnc=terms[4])
-    rep = make_report(total, terms[0], mkd1=terms[1], mkd2=terms[2], rs=terms[3], rnc=terms[4])
+    terms = dict(zip(LOSS_TERMS, (Tensor(np.array(v)) for v in vals)))
+    rep = make_report(terms, total_loss(terms, w))
     recomputed = rep.task + w.alpha * rep.mkd1 + w.beta * rep.mkd2 + w.gamma * rep.rs + w.delta * rep.rnc
     assert abs(rep.total - recomputed) < 1e-12
     assert rep.as_row() == [rep.task, rep.mkd1, rep.mkd2, rep.rs, rep.rnc, rep.total]
     assert tuple(f.name for f in fields(LossReport)) == LOSS_TERMS
 
 
+def test_weighted_terms_list_every_report_term_in_order():
+    """A term added to LossReport but not to WEIGHTED_TERMS would drop out of
+    the total silently; here it fails instead."""
+    assert [name for name, _ in WEIGHTED_TERMS] == [f.name for f in fields(LossReport) if f.name != "total"]
+    assert [name for name, _ in WEIGHTED_TERMS] == [name for name in LOSS_TERMS if name != "total"]
+    assert WEIGHTED_TERMS[0] == ("task", None)
+    weight_fields = {f.name for f in fields(LossWeights)}
+    assert all(field in weight_fields for _, field in WEIGHTED_TERMS[1:])
+
+
 def test_report_ablated_terms_read_zero():
     task, rs = Tensor(np.array(2.0)), Tensor(np.array(0.5))
-    rep = make_report(total_loss(task, LossWeights(), rs=rs), task, rs=rs)
+    terms = {"task": task, "rs": rs}
+    rep = make_report(terms, total_loss(terms, LossWeights()))
     assert rep.mkd1 == 0.0 and rep.mkd2 == 0.0 and rep.rnc == 0.0
     assert rep.total == pytest.approx(2.0 + LossWeights().gamma * 0.5, abs=1e-15)
     assert isinstance(rep, LossReport)

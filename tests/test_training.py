@@ -922,9 +922,12 @@ def test_manifests_list_format_dtype_fields_then_tensor_table(tiny_data, fitted,
         ("dim_zero", r"'model_config': model config: dim must be positive"),
         ("alpha_negative", r"'train_config': loss weight alpha must be finite and non-negative"),
         ("batch_size_float", r"'train_config': train config: batch_size must be an int, got 2\.5"),
+        ("weights_list", r"'train_config': train config: weights must be an object of loss weights, got \[1, 2\]"),
+        ("weights_null", r"'train_config': train config: weights must be an object of loss weights, got None"),
+        ("weights_str", r"'train_config': train config: weights must be an object of loss weights, got 'x'"),
     ],
     ids=["truncated_file", "declared_bytes", "unknown_group", "adam_group", "v1_manifest", "v2_manifest",
-         "epochs_zero", "dim_zero", "alpha_negative", "batch_size_float"],
+         "epochs_zero", "dim_zero", "alpha_negative", "batch_size_float", "weights_list", "weights_null", "weights_str"],
 )
 def test_load_checkpoint_rejects_corruption(fitted, tmp_path, kind, match):
     save_checkpoint(fitted[0], tmp_path / "ckpt")
@@ -951,6 +954,8 @@ def test_load_checkpoint_rejects_corruption(fitted, tmp_path, kind, match):
         manifest["train_config"]["weights"]["alpha"] = -1
     elif kind == "batch_size_float":
         manifest["train_config"]["batch_size"] = 2.5
+    elif kind.startswith("weights_"):  # once loaded and evaluated as if valid
+        manifest["train_config"]["weights"] = {"weights_list": [1, 2], "weights_null": None, "weights_str": "x"}[kind]
     else:  # a manifest written before the model's shape settings were dropped
         manifest["format"] = "modalflow-checkpoint-v1"
         manifest["model_config"].update(seq_len=2, raw_dim_a=3, raw_dim_v=2, raw_dim_t=4)
