@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import ParamStore, check_field_types, require_positive
-from .tensor import Tensor, affine, concat, cross_attention, imagine, softmax, subset_sum
+from .tensor import ShapeError, Tensor, affine, concat, cross_attention, imagine, softmax, subset_sum
 
 MODALITIES = ("a", "v", "t")  # audio, vision, text; order fixed
 
@@ -145,8 +145,11 @@ def cross_attend(Q, E, p, prefix, tau):
 
 def afg_weights(R_a, R_v, R_t, p, prefix):
     """Softmax fusion weights over the three modalities, per leading position,
-    from the gathering map `{prefix}.W`, `{prefix}.b`; `concat` and `affine`
-    reject representations of unequal shapes."""
+    from the gathering map `{prefix}.W`, `{prefix}.b`. The representations
+    must share one shape (`concat` and `affine` would pass last axes that
+    differ but sum to the gate's input size); else ShapeError."""
+    if not R_a.shape == R_v.shape == R_t.shape:
+        raise ShapeError(f"afg: representations must share one shape, got {R_a.shape}, {R_v.shape}, {R_t.shape}")
     x = concat([R_a, R_v, R_t], axis=-1)
     return softmax(affine(x, p[f"{prefix}.W"], p[f"{prefix}.b"]))
 

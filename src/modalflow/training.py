@@ -13,15 +13,16 @@ training step, and constant Tensors over the arrays in `_predict`.
 
 The model's input sizes are not configured: `fit` reads each modality's raw
 feature size from the train split. A checkpoint holds what inference reads:
-the parameters and the run's metadata, not the optimizer state. Checkpoints
-are records of the dataset's envelope and codec (`data.save_record`/
-`data.open_record`, `data.write_tensor`/`data.read_tensor`); this module
-picks only their format tag, fields and tensor file names.
+the parameters, as one array, and the run's metadata, not the optimizer
+state. Checkpoints are records of the dataset's envelope and codec
+(`data.save_record`/`data.open_record`, `data.write_tensor`/
+`data.read_tensor`); this module picks only their format tag and fields.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 import threading
 import warnings
@@ -383,17 +384,30 @@ def write_history_csv(path, history):
 # -- checkpoint persistence ------------------------------------------------------------
 
 
-CHECKPOINT_FORMAT = "modalflow-checkpoint-v3"
-CHECKPOINT_KEYS = ("epoch", "best_val_mae", "model_config", "train_config", "ablation", "tensors")
+CHECKPOINT_FORMAT = "modalflow-checkpoint-v4"
+CHECKPOINT_KEYS = ("epoch", "best_val_mae", "model_config", "train_config", "ablation", "raw_dims", "tensors")
 
 
 def save_checkpoint(checkpoint, path):
-    """Directory with manifest.json plus one .bin per parameter (the dataset codec)."""
+    """Directory with manifest.json and one tensor, `params` (the dataset
+    codec): every parameter end to end in `fusion.param_shapes` order, the
+    `ParamStore` layout. A load checks only that tensor's length, which a
+    transposed weight keeps, so any parameter that is missing, extra or of
+    another shape raises ValueError naming it, before anything is written."""
+    params = checkpoint.params
+    got = {name: np.shape(a) for name, a in params.items()}
+    raw_dims = {m: (got.get(f"proj.{m}.W") or (None,))[0] for m in MODALITIES}  # a bad W fails the check below
+    shapes = param_shapes(checkpoint.model_config, raw_dims)
+    if got != shapes:
+        name = next(name for name in [*shapes, *got] if got.get(name) != shapes.get(name))
+        what = ("is not a model parameter" if name not in shapes else "is missing" if name not in got
+                else f"has shape {got[name]}, the model config gives {shapes[name]}")
+        raise ValueError(f"save: checkpoint parameter '{name}' {what}")
+    flat = np.concatenate([params[name] for name in shapes], axis=None)
     meta = {"epoch": checkpoint.epoch, "best_val_mae": checkpoint.best_val_mae}
     meta.update({key: asdict(getattr(checkpoint, key)) for key in ("model_config", "train_config", "ablation")})
-    with save_record(path, CHECKPOINT_FORMAT, **meta) as (path, manifest):
-        params = enumerate(checkpoint.params.items())
-        manifest["tensors"] = {f"param:{name}": write_tensor(path, f"t{i:04d}.bin", arr) for i, (name, arr) in params}
+    with save_record(path, CHECKPOINT_FORMAT, **meta, raw_dims=raw_dims) as (path, manifest):
+        manifest["tensors"] = {"params": write_tensor(path, "params.bin", flat)}
 
 
 def load_checkpoint(path):
@@ -408,14 +422,28 @@ def load_checkpoint(path):
         raise DatasetError(f"load: {where} 'epoch' must be a positive int, got {epoch!r}")
     if type(best_val_mae) not in (int, float):
         raise DatasetError(f"load: {where} 'best_val_mae' must be a number, got {best_val_mae!r}")
-    params = {}
-    for key, entry in require_object(manifest["tensors"], f"{where} 'tensors'").items():
-        group, sep, name = key.partition(":")
-        if not sep or group != "param":
-            raise DatasetError(f"load: checkpoint tensor '{key}': name must be 'param:<parameter name>'")
-        params[name] = read_tensor(path, entry, key)
+    raw_dims = require_object(manifest["raw_dims"], f"{where} 'raw_dims'")
+    if sorted(raw_dims) != sorted(MODALITIES):
+        raise DatasetError(f"load: {where} 'raw_dims' must hold exactly the keys {MODALITIES}, got {tuple(raw_dims)}")
+    for m, size in raw_dims.items():
+        if type(size) is not int or size < 1:
+            raise DatasetError(f"load: {where} 'raw_dims' '{m}' must be a positive int, got {size!r}")
+    tensors = require_object(manifest["tensors"], f"{where} 'tensors'")
+    if list(tensors) != ["params"]:
+        raise DatasetError(f"load: {where} 'tensors' must hold exactly one entry, 'params', got {list(tensors)}")
+    flat = read_tensor(path, tensors["params"], "params")
     model_config = config_from(ModelConfig, manifest, "model_config", where)
-    _check_param_shapes(params, model_config, path)
+    shapes = param_shapes(model_config, raw_dims)
+    total = sum(math.prod(shape) for shape in shapes.values())
+    if flat.shape != (total,):
+        raise DatasetError(
+            f"load: {where} tensor 'params' has shape {flat.shape}, {flat.size} values; "
+            f"the stored model config and raw_dims give {total} values in one axis"
+        )
+    params, end = {}, 0
+    for name, shape in shapes.items():  # views into the one array, as a ParamStore lays them
+        start, end = end, end + math.prod(shape)
+        params[name] = flat[start:end].reshape(shape)
     return Checkpoint(
         params=params,
         epoch=epoch,
@@ -424,26 +452,6 @@ def load_checkpoint(path):
         train_config=config_from(TrainConfig, manifest, "train_config", where),
         ablation=config_from(AblationSpec, manifest, "ablation", where),
     )
-
-
-def _check_param_shapes(params, model_config, path):
-    """Every model parameter is present with the shape `init_model` gives it
-    for the stored config and the raw sizes of the projection weights, and
-    no other parameter is; else DatasetError naming the parameter."""
-    proj = {m: params.get(f"proj.{m}.W") for m in MODALITIES}
-    raw_dims = {m: W.shape[0] if W is not None and W.ndim == 2 else None for m, W in proj.items()}
-    shapes = param_shapes(model_config, raw_dims)
-    for name, shape in shapes.items():
-        if name not in params:
-            raise DatasetError(f"load: checkpoint at {path} lacks model parameter 'param:{name}'")
-        if params[name].shape != shape:
-            raise DatasetError(
-                f"load: checkpoint parameter 'param:{name}' has shape {params[name].shape}, "
-                f"the model config gives {shape}"
-            )
-    for name in params:
-        if name not in shapes:
-            raise DatasetError(f"load: checkpoint parameter 'param:{name}' is not a model parameter")
 
 
 # -- ablation runner --------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from modalflow.cli import main
 from modalflow.data import load_dataset, save_dataset, write_tensor
+from modalflow.training import load_checkpoint
 
 TINY = {
     "synth": {
@@ -207,7 +208,9 @@ def test_eval_rejects_manifest_dtype_other_than_f8(workdir, tmp_path, capsys, ta
     assert "declares dtype '<f4', expected '<f8'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["epoch", "best_val_mae", "model_config", "train_config", "ablation", "tensors"])
+@pytest.mark.parametrize(
+    "key", ["epoch", "best_val_mae", "model_config", "train_config", "ablation", "raw_dims", "tensors"]
+)
 def test_eval_checkpoint_manifest_without_key_fails_cleanly(workdir, tmp_path, capsys, key):
     ckpt = _edited_copy(workdir["run"] / "checkpoint", tmp_path / "ckpt", lambda m: m.pop(key))
     code = main(["eval", "--checkpoint", str(ckpt), "--data", str(workdir["data"])])
@@ -263,27 +266,30 @@ def test_eval_dataset_splits_that_are_not_an_object_fail_cleanly(workdir, tmp_pa
 
 
 def test_eval_checkpoint_without_parameter_fails_cleanly(workdir, tmp_path, capsys):
-    ckpt = _edited_copy(workdir["run"] / "checkpoint", tmp_path / "ckpt", lambda m: m["tensors"].pop("param:head.W"))
+    ckpt = _edited_copy(workdir["run"] / "checkpoint", tmp_path / "ckpt", lambda m: m["tensors"].pop("params"))
     code = main(["eval", "--checkpoint", str(ckpt), "--data", str(workdir["data"])])
     assert code == 1
-    assert "lacks model parameter 'param:head.W'" in capsys.readouterr().err
+    assert "'tensors' must hold exactly one entry, 'params', got []" in capsys.readouterr().err
 
 
 def test_eval_checkpoint_with_a_wrong_parameter_shape_fails_cleanly(workdir, tmp_path, capsys):
-    """Query rows re-declared as [2, dim]: a model that training cannot
-    produce, refused at load with the parameter's name."""
+    """The parameters laid out with query rows of [2, dim]: a model that
+    training cannot produce, refused at load by the tensor's length."""
     ckpt = tmp_path / "ckpt"
     shutil.copytree(workdir["run"] / "checkpoint", ckpt)
-    manifest = json.loads((ckpt / "manifest.json").read_text())
     dim = TINY["model"]["dim"]
-    for m in ("a", "v", "t"):
-        manifest["tensors"][f"param:query.{m}"] = write_tensor(ckpt, f"query_{m}.bin", np.ones((2, dim)))
+    params = load_checkpoint(ckpt).params
+    arrays = [np.ones((2, dim)) if name.startswith("query.") else a for name, a in params.items()]
+    flat = np.concatenate(arrays, axis=None)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["tensors"]["params"] = write_tensor(ckpt, "params.bin", flat)
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
     code = main(["eval", "--checkpoint", str(ckpt), "--data", str(workdir["data"])])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    assert "'param:query.a' has shape (2, 4), the model config gives (1, 4)" in err
+    n = flat.size
+    assert f"'params' has shape ({n},), {n} values; the stored model config and raw_dims give {n - 3 * dim} " in err
 
 
 @pytest.mark.parametrize(

@@ -175,13 +175,15 @@ def test_afg_rows_sum_to_one(rng):
     assert np.max(np.abs(w.sum(axis=-1) - 1.0)) < 1e-12
 
 
-def test_afg_shape_mismatch(rng):
-    p = make_params(rng, tiny_model_config(), TINY_RAW_DIMS)
-    with pytest.raises(ShapeError, match="concat"):
-        afg_weights(
-            Tensor(np.zeros((1, 1, 3))), Tensor(np.zeros((1, 1, 3))), Tensor(np.zeros((1, 2, 3))),
-            p, "afg1",
-        )
+@pytest.mark.parametrize(
+    "shapes",
+    [((1, 1, 3), (1, 1, 3), (1, 2, 3)), ((1, 1, 2), (1, 1, 3), (1, 1, 4))],
+    ids=["leading_axis", "last_axes_summing_to_the_gate_input"],
+)
+def test_afg_shape_mismatch(rng, shapes):
+    p = make_params(rng, tiny_model_config(), TINY_RAW_DIMS)  # dim 3: a (9, 3) gate
+    with pytest.raises(ShapeError, match="afg: representations must share one shape"):
+        afg_weights(*(Tensor(np.zeros(shape)) for shape in shapes), p, "afg1")
 
 
 # -- multi-view queries -----------------------------------------------------------------------

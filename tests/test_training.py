@@ -851,25 +851,32 @@ def test_default_checkpoint_holds_only_the_model_parameters(tmp_path):
     )
     save_checkpoint(checkpoint, tmp_path / "ckpt")
     manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
-    assert manifest["format"] == "modalflow-checkpoint-v3"
+    assert manifest["format"] == "modalflow-checkpoint-v4"
     assert "optimizer_step" not in manifest
-    assert list(manifest["tensors"]) == [f"param:{name}" for name in store]
-    assert len(manifest["tensors"]) == 47
-    assert sum(int(np.prod(e["shape"])) for e in manifest["tensors"].values()) == 19_591
-    assert len(list((tmp_path / "ckpt").iterdir())) == 47 + 1  # the .bin files and the manifest
+    assert manifest["raw_dims"] == raw_dims
+    assert list(manifest["tensors"]) == ["params"]
+    assert manifest["tensors"]["params"]["shape"] == [19_591]
+    # the store's layout, byte for byte, in the v4 order: reordering param_shapes fails here and needs a new tag
+    assert (tmp_path / "ckpt" / "params.bin").read_bytes() == store.flat.tobytes()
+    v4_order = [
+        *(f"proj.{m}.{p}" for m in MODALITIES for p in "Wb"),
+        *(f"query.{m}" for m in MODALITIES),
+        *(f"{stage}.{m}.{role}.{p}" for stage in ("s1", "s2") for m in MODALITIES
+          for role in ("val", "key") for p in "Wb"),
+        *(f"{block}.{p}" for block in ("afg1", "afg2", "head") for p in "Wb"),
+        *(f"{tag}.{p}" for tag in ("mia1", "mia2") for p in ("W1", "b1", "W2", "b2")),
+    ]
+    assert list(store) == v4_order
+    assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == ["manifest.json", "params.bin"]
 
 
 def test_interrupted_resave_leaves_no_loadable_checkpoint(fitted, tmp_path, monkeypatch):
     checkpoint, _ = fitted
     save_checkpoint(checkpoint, tmp_path / "ckpt")
     other = replace(checkpoint, params={name: arr + 1.0 for name, arr in checkpoint.params.items()})
-    written = []
 
     def failing_write(directory, fname, arr):
-        if len(written) == 10:
-            raise OSError("disk full")
-        written.append(fname)
-        return write_tensor(directory, fname, arr)
+        raise OSError("disk full")
 
     monkeypatch.setattr(training, "write_tensor", failing_write)
     with pytest.raises(OSError, match="disk full"):
@@ -903,21 +910,37 @@ def test_manifests_list_format_dtype_fields_then_tensor_table(tiny_data, fitted,
     checkpoint = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
     assert list(dataset) == ["format", "dtype", "config", "splits"]
     assert list(checkpoint) == [
-        "format", "dtype", "epoch", "best_val_mae", "model_config", "train_config", "ablation", "tensors",
+        "format", "dtype", "epoch", "best_val_mae", "model_config", "train_config", "ablation", "raw_dims", "tensors",
     ]
     assert (dataset["format"], dataset["dtype"]) == ("modalflow-dataset-v1", "<f8")
-    assert (checkpoint["format"], checkpoint["dtype"]) == ("modalflow-checkpoint-v3", "<f8")
+    assert (checkpoint["format"], checkpoint["dtype"]) == ("modalflow-checkpoint-v4", "<f8")
+
+
+# the tiny model's parameter count, and the counts with its dim or its mia_hidden one larger
+N_PARAMS = 311
+N_PARAMS_DIM_4 = 459
+N_PARAMS_MIA_HIDDEN_3 = 337
 
 
 @pytest.mark.parametrize(
     "kind, match",
     [
-        ("truncated_file", r"tensor 'param:head\.W' file holds"),
-        ("declared_bytes", r"tensor 'param:head\.W' manifest shape"),
-        ("unknown_group", r"'foo:head\.W'"),
-        ("adam_group", r"'adam_m:head\.W'"),
+        ("truncated_file", r"tensor 'params' file holds"),
+        ("declared_bytes", r"tensor 'params' manifest shape"),
+        ("params_2d", rf"tensor 'params' has shape \(1, {N_PARAMS}\), {N_PARAMS} values; .* give {N_PARAMS} values"),
+        ("unknown_group", r"'tensors' must hold exactly one entry, 'params', got \['foo'\]"),
+        ("adam_group", r"'tensors' must hold exactly one entry, 'params', got \['params', 'adam_m'\]"),
+        ("tensor_missing", r"'tensors' must hold exactly one entry, 'params', got \[\]"),
         ("v1_manifest", r"format 'modalflow-checkpoint-v1'"),
         ("v2_manifest", r"format 'modalflow-checkpoint-v2'"),
+        ("v3_manifest", r"format 'modalflow-checkpoint-v3'"),
+        ("raw_dims_missing", r"'raw_dims' must hold exactly the keys \('a', 'v', 't'\), got \('a', 'v'\)"),
+        ("raw_dims_extra", r"'raw_dims' must hold exactly the keys \('a', 'v', 't'\), got \('a', 'v', 't', 'x'\)"),
+        ("raw_dims_zero", r"'raw_dims' 'a' must be a positive int, got 0"),
+        ("raw_dims_true", r"'raw_dims' 'a' must be a positive int, got True"),
+        ("raw_dims_float", r"'raw_dims' 'a' must be a positive int, got 2\.5"),
+        ("dim_edited", rf"tensor 'params' has shape \({N_PARAMS},\), .* give {N_PARAMS_DIM_4} values"),
+        ("mia_hidden_edited", rf"tensor 'params' has shape \({N_PARAMS},\), .* give {N_PARAMS_MIA_HIDDEN_3} values"),
         ("epochs_zero", r"'train_config': train config: epochs must be >= 1"),
         ("dim_zero", r"'model_config': model config: dim must be positive"),
         ("alpha_negative", r"'train_config': loss weight alpha must be finite and non-negative"),
@@ -926,26 +949,45 @@ def test_manifests_list_format_dtype_fields_then_tensor_table(tiny_data, fitted,
         ("weights_null", r"'train_config': train config: weights must be an object of loss weights, got None"),
         ("weights_str", r"'train_config': train config: weights must be an object of loss weights, got 'x'"),
     ],
-    ids=["truncated_file", "declared_bytes", "unknown_group", "adam_group", "v1_manifest", "v2_manifest",
-         "epochs_zero", "dim_zero", "alpha_negative", "batch_size_float", "weights_list", "weights_null", "weights_str"],
+    ids=["truncated_file", "declared_bytes", "params_2d", "unknown_group", "adam_group", "tensor_missing",
+         "v1_manifest", "v2_manifest", "v3_manifest", "raw_dims_missing", "raw_dims_extra", "raw_dims_zero",
+         "raw_dims_true", "raw_dims_float", "dim_edited", "mia_hidden_edited", "epochs_zero", "dim_zero",
+         "alpha_negative", "batch_size_float", "weights_list", "weights_null", "weights_str"],
 )
 def test_load_checkpoint_rejects_corruption(fitted, tmp_path, kind, match):
     save_checkpoint(fitted[0], tmp_path / "ckpt")
     mpath = tmp_path / "ckpt" / "manifest.json"
     manifest = json.loads(mpath.read_text())
-    entry = manifest["tensors"]["param:head.W"]
+    entry = manifest["tensors"]["params"]
+    assert entry["shape"] == [N_PARAMS]
     if kind == "truncated_file":
         f = tmp_path / "ckpt" / entry["file"]
         f.write_bytes(f.read_bytes()[:-8])
     elif kind == "declared_bytes":
         entry["bytes"] += 8
+    elif kind == "params_2d":  # the same bytes, declared as one row
+        entry["shape"] = [1, N_PARAMS]
     elif kind == "unknown_group":
-        manifest["tensors"]["foo:head.W"] = manifest["tensors"].pop("param:head.W")
+        manifest["tensors"]["foo"] = manifest["tensors"].pop("params")
     elif kind == "adam_group":  # the v2 moment groups are no longer read
-        manifest["tensors"]["adam_m:head.W"] = dict(entry)
-    elif kind == "v2_manifest":  # a v3 manifest dressed as v2: still refused, there is no v2 reader
+        manifest["tensors"]["adam_m"] = dict(entry)
+    elif kind == "tensor_missing":
+        manifest["tensors"].pop("params")
+    elif kind == "v2_manifest":  # a v4 manifest dressed as v2: still refused, there is no v2 reader
         manifest["format"] = "modalflow-checkpoint-v2"
         manifest["optimizer_step"] = 1
+    elif kind == "v3_manifest":  # nor a v3 reader: v3 held one tensor per parameter
+        manifest["format"] = "modalflow-checkpoint-v3"
+    elif kind == "raw_dims_missing":
+        manifest["raw_dims"].pop("t")
+    elif kind == "raw_dims_extra":
+        manifest["raw_dims"]["x"] = 1
+    elif kind.startswith("raw_dims_"):
+        manifest["raw_dims"]["a"] = {"raw_dims_zero": 0, "raw_dims_true": True, "raw_dims_float": 2.5}[kind]
+    elif kind == "dim_edited":  # a valid config of another model: only the length shows it
+        manifest["model_config"]["dim"] += 1
+    elif kind == "mia_hidden_edited":
+        manifest["model_config"]["mia_hidden"] += 1
     elif kind == "epochs_zero":  # a stored config that its class's checks refuse
         manifest["train_config"]["epochs"] = 0
     elif kind == "dim_zero":
@@ -969,9 +1011,10 @@ def test_load_checkpoint_rejects_corruption(fitted, tmp_path, kind, match):
     [
         (lambda m: [], "manifest.json"),
         (lambda m: m.update(tensors=[]), "'tensors'"),
-        (lambda m: m["tensors"].update({"param:head.W": "t0000.bin"}), r"tensor 'param:head\.W' manifest entry"),
+        (lambda m: m["tensors"].update({"params": "params.bin"}), r"tensor 'params' manifest entry"),
+        (lambda m: m.update(raw_dims=[3, 2, 4]), "'raw_dims'"),
     ],
-    ids=["manifest", "tensors", "tensor_entry"],
+    ids=["manifest", "tensors", "tensor_entry", "raw_dims"],
 )
 def test_load_checkpoint_rejects_a_manifest_part_that_is_not_an_object(fitted, tmp_path, edit, where):
     save_checkpoint(fitted[0], tmp_path / "ckpt")
@@ -983,13 +1026,13 @@ def test_load_checkpoint_rejects_a_manifest_part_that_is_not_an_object(fitted, t
         load_checkpoint(tmp_path / "ckpt")
 
 
-def _redeclare(ckpt, shapes):
-    """Replace the named parameters of a saved checkpoint with zero arrays of
-    the given shapes, or add them when the checkpoint lacks them."""
+def _relay(ckpt, params):
+    """Rewrite the one tensor of a saved checkpoint as the arrays of `params`
+    end to end, as a save without its checks would lay them."""
     mpath = ckpt / "manifest.json"
     manifest = json.loads(mpath.read_text())
-    for name, shape in shapes.items():
-        manifest["tensors"][f"param:{name}"] = write_tensor(ckpt, f"x_{name}.bin", np.zeros(shape))
+    flat = np.concatenate([a.ravel() for a in params.values()])
+    manifest["tensors"]["params"] = write_tensor(ckpt, "params.bin", flat)
     mpath.write_text(json.dumps(manifest))
 
 
@@ -1001,29 +1044,49 @@ D = MODEL.dim
     [
         (
             {f"query.{m}": (2, D) for m in MODALITIES},
-            r"'param:query\.a' has shape \(2, 3\), the model config gives \(1, 3\)",
+            r"'query\.a' has shape \(2, 3\), the model config gives \(1, 3\)",
         ),
-        ({"mia1.W1": (MODEL.mia_hidden, 3 * D)}, r"'param:mia1\.W1' has shape \(2, 9\)"),
-        ({"s2.t.key.b": (D + 1,)}, r"'param:s2\.t\.key\.b' has shape \(4,\)"),
-        ({"proj.v.W": (TINY_RAW_DIMS["v"], D + 1)}, r"'param:proj\.v\.W' has shape \(2, 4\)"),
-        ({"proj.a.b": (D + 1,)}, r"'param:proj\.a\.b' has shape \(4,\)"),
-        ({"proj.t.W": (TINY_RAW_DIMS["t"],)}, r"'param:proj\.t\.W' has shape \(4,\)"),
-        ({"extra": (1,)}, r"'param:extra' is not a model parameter"),
+        ({"mia1.W1": (MODEL.mia_hidden, 3 * D)}, r"'mia1\.W1' has shape \(2, 9\)"),
+        ({"s2.t.key.b": (D + 1,)}, r"'s2\.t\.key\.b' has shape \(4,\)"),
+        ({"proj.v.W": (TINY_RAW_DIMS["v"], D + 1)}, r"'proj\.v\.W' has shape \(2, 4\)"),
+        ({"proj.a.b": (D + 1,)}, r"'proj\.a\.b' has shape \(4,\)"),
+        ({"proj.t.W": (TINY_RAW_DIMS["t"],)}, r"'proj\.t\.W' has shape \(4,\)"),
+        ({"extra": (1,)}, r"'extra' is not a model parameter"),
+        ({"head.W": None}, r"'head\.W' is missing"),
     ],
-    ids=["query_rows", "mia_transposed", "key_bias", "proj_out", "proj_bias", "proj_1d", "extra"],
+    ids=["query_rows", "mia_transposed", "key_bias", "proj_out", "proj_bias", "proj_1d", "extra", "missing_head"],
 )
 def test_load_checkpoint_checks_every_parameter_shape(fitted, tmp_path, shapes, match):
-    """Each parameter must have the shape init_model gives it for the stored
-    model config and the raw sizes the projection weights declare."""
-    save_checkpoint(fitted[0], tmp_path / "ckpt")
-    _redeclare(tmp_path / "ckpt", shapes)
-    with pytest.raises(DatasetError, match=match):
+    """A parameter mapping other than the model's, by name or by shape (None
+    drops the parameter), is refused by save_checkpoint naming the parameter,
+    before anything is written. Laid out past that check, it fails the load
+    by the one tensor's length, unless it keeps the length, as a transposed
+    weight does: only the save can see that one."""
+    checkpoint = fitted[0]
+    params = dict(checkpoint.params)
+    for name, shape in shapes.items():
+        if shape is None:
+            del params[name]
+        else:
+            params[name] = np.zeros(shape)
+    with pytest.raises(ValueError, match=match):
+        save_checkpoint(replace(checkpoint, params=params), tmp_path / "refused")
+    assert not (tmp_path / "refused").exists()
+
+    save_checkpoint(checkpoint, tmp_path / "ckpt")
+    _relay(tmp_path / "ckpt", params)
+    n_values = sum(a.size for a in params.values())
+    if n_values == N_PARAMS:
         load_checkpoint(tmp_path / "ckpt")
+    else:
+        with pytest.raises(DatasetError, match=rf"has shape \({n_values},\), .* give {N_PARAMS} values"):
+            load_checkpoint(tmp_path / "ckpt")
 
 
 def test_resave_over_a_larger_checkpoint_leaves_only_its_files(fitted, tmp_path):
-    """A checkpoint directory that held more tensors (as a v2 one held Adam
-    moments) keeps only the re-save's files."""
+    """A checkpoint directory that held more tensors (as a v3 one held one
+    per parameter, and a v2 one Adam moments too) keeps only the re-save's
+    files."""
     save_checkpoint(fitted[0], tmp_path / "ckpt")
     mpath = tmp_path / "ckpt" / "manifest.json"
     manifest = json.loads(mpath.read_text())
@@ -1033,7 +1096,7 @@ def test_resave_over_a_larger_checkpoint_leaves_only_its_files(fitted, tmp_path)
     save_checkpoint(fitted[0], tmp_path / "ckpt")
     named = {e["file"] for e in json.loads(mpath.read_text())["tensors"].values()}
     assert {p.name for p in (tmp_path / "ckpt").iterdir()} == named | {"manifest.json"}
-    assert len(named) == len(fitted[0].params)
+    assert named == {"params.bin"}
 
 
 def test_loaded_checkpoint_evaluates_identically(tiny_data, fitted, tmp_path):
