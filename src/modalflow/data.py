@@ -25,6 +25,7 @@ failure raises DatasetError.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -124,21 +125,40 @@ def _latent_maps(config):
     return w_y, maps, mix
 
 
-def degrade_text(text_raw, audio_raw, rho, mix, noise_std, seed):
+def _seed_words(parts):
+    """The uint32 entropy words `np.random.SeedSequence` derives from a list
+    of non-negative ints: each int's 32-bit words, least significant first,
+    one word for 0. Seeding from these words gives the list's stream."""
+    return np.array(
+        [(p >> shift) & 0xFFFFFFFF for p in parts for shift in range(0, max(p.bit_length(), 1), 32)],
+        dtype=np.uint32,
+    )
+
+
+def degrade_text(text, audio, rho, mix, noise_std, seed):
     """Simulated text features: a noisy, audio-contaminated blend of the real ones.
 
-    out = (1 - rho) * text + rho * (noise + audio-row-mean @ mix), per sample.
-    rho = 0 reproduces the real text bit-exactly.
+    For samples text [n, S, raw_t] and audio [n, S, raw_a],
+    out[i] = (1 - rho) * text[i] + rho * (noise_i + audio[i].mean(axis=0) @ mix),
+    where noise_i ~ N(0, noise_std^2) of shape [S, raw_t] comes from sample
+    i's own stream, `default_rng([*seed, i, 0x51B])`. rho = 0 reproduces the
+    real text bit-exactly.
     """
     if not 0.0 <= rho <= 1.0:
         raise DatasetError(f"degrade_text: rho must be in [0, 1], got {rho}")
     if rho == 0.0:
-        return text_raw.copy()
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, noise_std, size=text_raw.shape)
-    audio_mean = audio_raw.mean(axis=0)  # [raw_dim_a]
-    contaminant = noise + audio_mean @ mix  # broadcast over rows
-    return (1.0 - rho) * text_raw + rho * contaminant
+        return text.copy()
+    out = np.empty(text.shape)
+    # one entropy array for every stream; only sample i's word, second to last, changes (n < 2**32)
+    entropy = _seed_words([*seed, 0, 0x51B])
+    for i in range(len(out)):
+        entropy[-2] = i
+        out[i] = np.random.default_rng(entropy).normal(0.0, noise_std, size=out.shape[1:])
+    # a stack of [1, raw_a] @ [raw_a, raw_t] products: the vector-matrix kernel, as per sample
+    out += np.matmul(audio.mean(axis=1)[:, None, :], mix)
+    out *= rho
+    out += (1.0 - rho) * text
+    return out
 
 
 def _generate_split(config, split, split_idx, w_y, maps, mix):
@@ -150,20 +170,12 @@ def _generate_split(config, split, split_idx, w_y, maps, mix):
     noise = {"a": config.noise_a, "v": config.noise_v, "t": config.noise_t}
     feats = {}
     for m in ("a", "v", "t"):
-        base = z @ maps[m]  # [n, raw_dim]
-        tiled = np.repeat(base[:, None, :], config.seq_len, axis=1)
-        feats[m] = tiled + rng.normal(0.0, noise[m], size=tiled.shape)
+        feats[m] = rng.normal(0.0, noise[m], size=(n, config.seq_len, config.raw_dim(m)))
+        feats[m] += (z @ maps[m])[:, None, :]  # the latent signal, broadcast over the sequence
 
-    sim_text = np.empty_like(feats["t"])
-    for i in range(n):
-        sim_text[i] = degrade_text(
-            feats["t"][i],
-            feats["a"][i],
-            config.text_degradation,
-            mix,
-            config.noise_t,
-            seed=[config.seed, split_idx, i, 0x51B],
-        )
+    sim_text = degrade_text(
+        feats["t"], feats["a"], config.text_degradation, mix, config.noise_t, seed=(config.seed, split_idx)
+    )
     return Dataset(
         split=split,
         audio=feats["a"],
@@ -190,9 +202,9 @@ def generate_dataset(config):
 def write_tensor(directory, fname, arr):
     """Write one array as a `<f8` file under `directory`; returns its manifest
     entry {file, shape, bytes}."""
-    raw = np.ascontiguousarray(arr, dtype=TENSOR_DTYPE).tobytes()
-    (Path(directory) / fname).write_bytes(raw)
-    return {"file": fname, "shape": list(np.shape(arr)), "bytes": len(raw)}
+    values = np.ascontiguousarray(arr, dtype=TENSOR_DTYPE)
+    (Path(directory) / fname).write_bytes(values)  # the array's own buffer, not a bytes copy of it
+    return {"file": fname, "shape": list(np.shape(arr)), "bytes": values.nbytes}
 
 
 def _is_plain_name(fname):
@@ -208,8 +220,9 @@ def read_tensor(directory, entry, name):
 
     Checks that the entry is an object with every key, that its file is a
     plain name inside `directory`, that its shape is a list of non-negative
-    ints, and that the shape, the declared byte count and the file length
-    agree; a failure raises DatasetError naming the tensor as `name`.
+    ints that numpy can make an array of, and that the shape, the declared
+    byte count and the file length agree; a failure raises DatasetError
+    naming the tensor as `name`.
     """
     require_object(entry, f"tensor '{name}' manifest entry")
     missing = [key for key in ("file", "shape", "bytes") if key not in entry]
@@ -221,16 +234,25 @@ def read_tensor(directory, entry, name):
     if not isinstance(shape, list) or not all(_is_count(s) for s in shape) or not _is_count(size):
         raise DatasetError(f"load: tensor '{name}' needs a shape list and a byte count of non-negative ints")
     shape = tuple(shape)
-    expected = int(np.prod(shape, dtype=np.int64)) * 8
+    expected = math.prod(shape) * 8  # Python ints: a shape's count cannot wrap
     if expected != size:
         raise DatasetError(f"load: tensor '{name}' manifest shape {shape} inconsistent with declared {size} bytes")
-    # read straight into the array's own (writable) buffer: one allocation per tensor, no copy
-    raw = bytearray(expected)
     with (Path(directory) / entry["file"]).open("rb") as fh:
-        size = fh.readinto(raw) + len(fh.read())
-    if size != expected:
-        raise DatasetError(f"load: tensor '{name}' file holds {size} bytes, expected {expected}")
-    return np.frombuffer(raw, dtype=TENSOR_DTYPE).reshape(shape)
+        # checked before the array is allocated, so a manifest cannot ask for more memory than its file holds
+        held = os.fstat(fh.fileno()).st_size
+        if held != expected:
+            raise DatasetError(f"load: tensor '{name}' file holds {held} bytes, expected {expected}")
+        try:
+            values = np.empty(shape, TENSOR_DTYPE)
+        except ValueError as exc:  # an empty shape with a dimension or axis count past numpy's limits
+            raise DatasetError(
+                f"load: tensor '{name}' manifest shape {shape} is past numpy's array limits: {exc}"
+            ) from None
+        # read straight into the array's own buffer: one allocation per tensor, no copy
+        read = fh.readinto(values)
+    if read != expected:  # a file cut short since its length was read: the rest of the array is unset
+        raise DatasetError(f"load: tensor '{name}' file holds {read} bytes, expected {expected}")
+    return values
 
 
 def _is_count(value):

@@ -1,8 +1,10 @@
-"""Small parameter sets and configs shared by the test modules, and the
-composed graphs that the engine's fused ops replace."""
+"""Small parameter sets and configs shared by the test modules, the
+composed graphs that the engine's fused ops replace, and the per-sample
+dataset generator that the batched one replaces."""
 
 import numpy as np
 
+from modalflow.data import SPLITS, _latent_maps
 from modalflow.fusion import ModelConfig, param_shapes
 from modalflow.tensor import Tensor, affine, attend, backward, concat
 
@@ -117,3 +119,45 @@ def assert_fused_matches_composed(fused, composed, point, rng):
     assert outs[0].shape == outs[1].shape and np.array_equal(outs[0], outs[1]), "forward differs"
     for i, (got, want) in enumerate(zip(*grads)):
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * np.max(np.abs(want), initial=0.0), f"input {i}"
+
+
+# -- the per-sample dataset generator ----------------------------------------------
+#
+# The split generator as one Python loop over samples, each sample's simulated
+# text built on its own; `data.generate_dataset` must equal it bit for bit.
+
+
+def per_sample_degrade_text(text_raw, audio_raw, rho, mix, noise_std, seed):
+    """One sample's simulated text: text_raw [S, raw_t], audio_raw [S, raw_a]."""
+    if rho == 0.0:
+        return text_raw.copy()
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(0.0, noise_std, size=text_raw.shape)
+    contaminant = noise + audio_raw.mean(axis=0) @ mix
+    return (1.0 - rho) * text_raw + rho * contaminant
+
+
+def per_sample_generate_dataset(config):
+    """Split name -> {tensor field: array}, as `data.generate_dataset` makes them."""
+    w_y, maps, mix = _latent_maps(config)
+    noise = {"a": config.noise_a, "v": config.noise_v, "t": config.noise_t}
+    out = {}
+    for split_idx, split in enumerate(SPLITS):
+        n = config.n_split(split)
+        rng = np.random.default_rng([config.seed, split_idx, 0xDA7A])
+        z = rng.normal(0.0, 1.0, size=(n, config.latent_dim))
+        feats = {}
+        for m in ("a", "v", "t"):
+            tiled = np.repeat((z @ maps[m])[:, None, :], config.seq_len, axis=1)
+            feats[m] = tiled + rng.normal(0.0, noise[m], size=tiled.shape)
+        sim_text = np.empty_like(feats["t"])
+        for i in range(n):
+            sim_text[i] = per_sample_degrade_text(
+                feats["t"][i], feats["a"][i], config.text_degradation, mix, config.noise_t,
+                seed=[config.seed, split_idx, i, 0x51B],
+            )
+        out[split] = {
+            "audio": feats["a"], "vision": feats["v"], "text": feats["t"], "sim_text": sim_text,
+            "labels": np.clip(3.0 * np.tanh(z @ w_y), -3.0, 3.0),
+        }
+    return out

@@ -199,6 +199,17 @@ def test_eval_manifest_entry_without_key_fails_cleanly(workdir, tmp_path, capsys
     assert f"tensor 'test/labels' manifest entry lacks '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shape", [[2**62, 4], [2**32, 2**32], [0, 2**70]], ids=["2^62x4", "2^32x2^32", "0x2^70"])
+def test_eval_tensor_shape_whose_count_overflows_fails_cleanly(workdir, tmp_path, capsys, shape):
+    data = _edited_copy(workdir["data"], tmp_path / "data",
+                        lambda m: m["splits"]["test"]["tensors"]["labels"].update(shape=shape, bytes=0))
+    (data / "test_labels.bin").write_bytes(b"")
+    code = main(["eval", "--checkpoint", str(workdir["run"]), "--data", str(data)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: load: tensor 'test/labels' manifest shape"), err
+
+
 @pytest.mark.parametrize("target", ["data", "checkpoint"])
 def test_eval_rejects_manifest_dtype_other_than_f8(workdir, tmp_path, capsys, target):
     paths = {"data": workdir["data"], "checkpoint": workdir["run"] / "checkpoint"}

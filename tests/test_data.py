@@ -17,6 +17,7 @@ from modalflow.data import (
     save_dataset,
     write_tensor,
 )
+from builders import per_sample_generate_dataset
 
 SMALL = dict(n_train=80, n_val=20, n_test=20, seq_len=3, raw_dim_a=6, raw_dim_v=5, raw_dim_t=7, seed=3)
 
@@ -110,31 +111,64 @@ def test_text_most_predictive_modality():
 
 
 def test_degrade_rho_zero_is_exact_copy(rng):
-    text = rng.normal(size=(3, 7))
-    audio = rng.normal(size=(3, 6))
+    text = rng.normal(size=(4, 3, 7))
+    audio = rng.normal(size=(4, 3, 6))
     mix = rng.normal(size=(6, 7))
-    out = degrade_text(text, audio, 0.0, mix, 0.3, seed=1)
+    out = degrade_text(text, audio, 0.0, mix, 0.3, seed=(1,))
     assert np.array_equal(out, text)
-    assert out is not text
+    assert not np.shares_memory(out, text)
 
 
 def test_degrade_seed_deterministic(rng):
-    text = rng.normal(size=(3, 7))
-    audio = rng.normal(size=(3, 6))
+    text = rng.normal(size=(4, 3, 7))
+    audio = rng.normal(size=(4, 3, 6))
     mix = rng.normal(size=(6, 7))
-    a = degrade_text(text, audio, 0.5, mix, 0.3, seed=9)
-    b = degrade_text(text, audio, 0.5, mix, 0.3, seed=9)
-    c = degrade_text(text, audio, 0.5, mix, 0.3, seed=10)
+    a = degrade_text(text, audio, 0.5, mix, 0.3, seed=(9,))
+    b = degrade_text(text, audio, 0.5, mix, 0.3, seed=(9,))
+    c = degrade_text(text, audio, 0.5, mix, 0.3, seed=(10,))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_degrade_rho_validation(rng):
-    x = rng.normal(size=(2, 3))
+    x = rng.normal(size=(2, 2, 3))
     with pytest.raises(DatasetError):
-        degrade_text(x, x, -0.1, np.eye(3), 0.3, seed=0)
+        degrade_text(x, x, -0.1, np.eye(3), 0.3, seed=(0,))
     with pytest.raises(DatasetError):
-        degrade_text(x, x, 1.01, np.eye(3), 0.3, seed=0)
+        degrade_text(x, x, 1.01, np.eye(3), 0.3, seed=(0,))
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {},
+        {**SMALL, "text_degradation": 0.0},
+        {**SMALL, "text_degradation": 0.4},
+        {**SMALL, "n_train": 1, "n_val": 1, "n_test": 1},
+        {**SMALL, "seed": 2**32 - 1},
+        {**SMALL, "seed": 2**32 + 7},
+        {**SMALL, "seed": 2**70, "text_degradation": 0.4},
+        {**SMALL, "noise_a": 0.0, "noise_t": 0.0},
+    ],
+    ids=["default", "rho_0", "rho_0.4", "n_1", "seed_2^32-1", "seed_2^32+7", "seed_2^70", "noiseless"],
+)
+def test_generation_equals_the_per_sample_generator(kw):
+    config = SynthConfig(**kw)
+    got = generate_dataset(config)
+    want = per_sample_generate_dataset(config)
+    assert list(got) == list(want)
+    for split, fields in want.items():
+        for name, arr in fields.items():
+            mine = getattr(got[split], name)
+            assert mine.shape == arr.shape and mine.tobytes() == arr.tobytes(), f"{split}/{name}"
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**70], ids=["0", "2^32-1", "2^32", "2^70"])
+def test_seed_words_give_the_list_seed_stream(seed):
+    parts = [seed, 2, 7, 0x51B]
+    words = data._seed_words(parts)
+    assert words.dtype == np.uint32
+    assert np.random.default_rng(words).bit_generator.state == np.random.default_rng(parts).bit_generator.state
 
 
 def _mean_corr(a, b):
@@ -328,6 +362,29 @@ def test_load_rejects_an_ill_typed_shape_or_byte_count(small_data, tmp_path, edi
     _edit_manifest(tmp_path / "ds", lambda m: edit(m["splits"]["test"]))
     with pytest.raises(DatasetError, match="'test/labels' needs a shape list"):
         load_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize(
+    "shape, declared, held, match",
+    [
+        ([2**62, 4], 0, 0, "inconsistent with declared 0 bytes"),
+        ([2**32, 2**32], 0, 0, "inconsistent with declared 0 bytes"),
+        ([0, 2**70], 0, 0, "past numpy's array limits"),
+        ([0, 2**62, 4], 0, 0, "past numpy's array limits"),
+        ([1] * 65, 8, 8, "past numpy's array limits"),
+        # declared to match the count: refused on the file length, before any allocation
+        ([2**62, 4], 2**67, 0, f"file holds 0 bytes, expected {2**67}"),
+    ],
+    ids=["count_2^64", "count_2^64_square", "dim_2^70", "empty_too_big", "65_axes", "declared_2^67_bytes"],
+)
+def test_load_rejects_a_shape_numpy_cannot_make(small_data, tmp_path, shape, declared, held, match):
+    """A shape whose element count overflows int64, or that numpy refuses
+    even for an empty array, fails as a DatasetError naming the tensor."""
+    save_dataset(small_data, tmp_path / "ds")
+    (tmp_path / "ds" / "test_labels.bin").write_bytes(bytes(held))
+    _edit_manifest(tmp_path / "ds", lambda m: m["splits"]["test"]["tensors"]["labels"].update(shape=shape, bytes=declared))
+    with pytest.raises(DatasetError, match=f"tensor 'test/labels' .*{match}"):
+        load_dataset(tmp_path / "ds", split="test")
 
 
 @pytest.mark.parametrize(
