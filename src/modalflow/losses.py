@@ -9,11 +9,11 @@
   flow) rows first, and are one `tensor.rmse_halves` node each.
 - rnc: rank contrast over the 2N concatenated final representations of both
   flows, ordering representation distances by label distances. It is one
-  graph node, `tensor.rank_contrast`, with the label distances as sort keys:
-  each anchor's candidates are sorted once, so the denominators are suffix
-  sums and the loss costs O(N^2 log N) time and O(N^2) memory plus one block
-  of pairwise differences; the oracle builds every candidate set explicitly,
-  in O(N^3).
+  graph node, `tensor.rank_contrast`, over the labels: one sort plan per
+  distinct label, so the denominators are suffix sums and the loss costs one
+  [2N, D] x [D, 2N] GEMM, O(N^2) elementwise work and O(m^2 log m) for the m
+  distinct labels' plans, in O(N^2) memory; the oracle builds every candidate
+  set explicitly, in O(N^3).
 
 The weighted total is one `tensor.weighted_sum` node.
 """
@@ -99,16 +99,18 @@ def rnc_loss(reps, labels, tau_rnc):
     competes against every k != i whose label distance to i is >= that of j;
     the total applies the -1/(2N-1) factor and the 1/(2N) average.
 
-    With n = 2N, the label distances |y_i - y_k| are the sort keys of
-    `tensor.rank_contrast`, one graph node that sorts each anchor's row once
-    and reads every denominator as a suffix sum over that order (ties read
-    from the first index of their group). The diagonal key is -inf, so the
-    anchor enters no denominator. The loss costs O(n^2 log n + n^2 D) time and
-    O(n^2) memory plus the differences of one fixed-size block of anchor
-    rows: no [n, n, D] or O(n^3) array. Representations more than ~745 * tau
-    apart make exp(-d/tau) underflow, and `tensor.DomainError` is raised.
-    `rank_contrast` checks the shape of reps and tau; the labels are checked
-    here.
+    With n = 2N this is one graph node, `tensor.rank_contrast`, which takes
+    the labels themselves: it sorts the m distinct labels' distances once per
+    distinct label (m = N for a training batch of N distinct labels, [y, y]),
+    leaves each anchor out of its own candidate sets, and reads every
+    denominator as a suffix sum in that order (ties read from the first
+    position of their group). The loss costs one [n, D] x [D, n] GEMM,
+    O(n^2) elementwise work and O(m^2 log m) for the sort, in O(n^2) memory:
+    no [n, n, D] or O(n^3) array. Representations more than ~745 * tau apart
+    make exp(-d/tau) underflow, and a distance that is not finite (an inf row,
+    or a squared distance that overflows) is refused: both raise
+    `tensor.DomainError`. `rank_contrast` checks the shape of reps and tau;
+    the labels are checked here.
     """
     reps = reps if isinstance(reps, Tensor) else Tensor(reps)
     labels = np.asarray(labels, dtype=np.float64)
@@ -117,10 +119,7 @@ def rnc_loss(reps, labels, tau_rnc):
     if not np.isfinite(labels).all():
         raise ValueError("rnc_loss: labels must be finite")
 
-    label_dist = np.abs(labels[:, None] - labels[None, :])
-    # the anchor sorts below every candidate, so it enters no denominator
-    np.fill_diagonal(label_dist, -np.inf)
-    return rank_contrast(reps, label_dist, tau_rnc)
+    return rank_contrast(reps, labels, tau_rnc)
 
 
 def rnc_oracle(reps, labels, tau_rnc):

@@ -430,81 +430,142 @@ def attend(Q, K, V, tau):
     return _result("attend", _unview(out, Q, qv), (Q, K, V), bwd)
 
 
-_RNC_BLOCK = 8  # anchor rows per block of rank_contrast's pairwise differences
+_RNC_NEAR = 1e-3  # kappa: pairs with d^2 <= kappa (|c_i|^2 + |c_j|^2) take direct differences
 
 
-def rank_contrast(a, keys, tau):
-    """Rank-N-Contrast loss (Zha et al., 2023) over the n rows of a [n, D].
+def _row_distances(av):
+    """Euclidean distances between the rows of av [n, D], as an [n, n] array.
+
+    The rows are centred on their mean, c = a - mean, and d^2 = |c_i|^2 +
+    |c_j|^2 - 2 c_i.c_j comes from one c @ c.T, which numpy runs as one SYRK
+    and mirrors, so d is exactly symmetric. The Gram form cancels where d^2 is
+    small beside |c_i|^2 + |c_j|^2: every pair with d^2 <= kappa (|c_i|^2 +
+    |c_j|^2), kappa = _RNC_NEAR, the diagonal among them, is recomputed from
+    the direct difference a_i - a_j, in chunks of 8n pairs, so the diagonal is
+    exactly 0 and no d^2 is left negative. Every distance then has a relative
+    error of at most (D + 2) * 2^-53 / kappa, about (D + 2) * 1.1e-13, so
+    close rows stay accurate at any norm. Raises DomainError if a distance is
+    not finite: a row holds inf or NaN, or d^2 overflows.
+    """
+    n = len(av)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite d2 is refused by name below
+        c = av - av.mean(axis=0)
+        sq = np.einsum("ij,ij->i", c, c)
+        d2 = c @ c.T
+        norms = np.add.outer(sq, sq)
+        d2 *= -2.0
+        d2 += norms
+        norms *= _RNC_NEAR
+        # every d2 <= 0 is near, and a recomputed d2 is a sum of squares, so
+        # none stays negative
+        near = np.flatnonzero(d2 <= norms)
+        for s in range(0, len(near), 8 * n):
+            pairs = near[s : s + 8 * n]
+            diff = av[pairs // n] - av[pairs % n]
+            d2.flat[pairs] = np.einsum("ij,ij->i", diff, diff)
+    if not np.isfinite(d2.max()):
+        raise DomainError("rank_contrast: a pairwise distance is not finite (a row holds inf or NaN, or d^2 overflows)")
+    return np.sqrt(d2, out=d2)
+
+
+def _block_sums(x, counts):
+    """Sums of the rows of x within consecutive blocks of counts[b] rows, one
+    row per block: pairwise, each pass adding every block's odd-offset rows
+    into the rows before them, ceil(log2(max(counts))) passes."""
+    while counts.max() > 1:
+        offset = np.arange(len(x)) - np.repeat(np.cumsum(counts) - counts, counts)
+        even = offset % 2 == 0
+        y = x[even]
+        y[np.cumsum(even)[~even] - 1] += x[~even]
+        x, counts = y, (counts + 1) // 2
+    return x
+
+
+def rank_contrast(a, labels, tau):
+    """Rank-N-Contrast loss (Zha et al., 2023) over the n rows of a [n, D]
+    with per-row labels y [n].
 
     With d_ij = ||a_i - a_j||_2 and e_ij = exp(-d_ij / tau), the output is
-    -1/(n(n-1)) * sum over i != j of log(e_ij / sum of e_ik over the k with
-    keys[i, k] >= keys[i, j]). `keys` is a constant [n, n] array; -inf is
-    allowed, NaN is not, and a -inf key at [i, i] keeps the anchor out of
-    every denominator.
+    -1/(n(n-1)) * sum over i != j of log(e_ij / sum of e_ik over the k != i
+    with |y_i - y_k| >= |y_i - y_j|). The labels are a finite constant array.
 
-    Each row of keys is sorted once and the denominators are reverse cumulative
-    sums over that order: O(n^2 (D + log n)) time, O(n^2) memory plus one
-    [_RNC_BLOCK, n, D] block. Tied keys share one tie group, and every member
-    reads the sum from the group's first sorted index. Distances come from
-    direct differences, so close rows stay accurate at any norm; they are
-    computed over blocks of anchor rows on the upper triangle and mirrored,
-    which is exact since a_i - a_j is -(a_j - a_i). Where a distance is 0 (the
-    diagonal, coincident rows) the gradient uses subgradient 0, as ``sqrt``
-    does.
+    Cost: one [n, D] x [D, n] GEMM for the distances (`_row_distances` states
+    their error bound), O(n^2) elementwise work, and a sort plan in
+    O(m^2 log m) over the m distinct labels. The rows are taken in label
+    order, so each label's rows are one block. Every row of label a shares
+    one plan: the distinct labels sorted by the key |u_a - u_c|, its own label
+    first; tied keys are contiguous in it. Each anchor's e_ik are summed by
+    the label of k into P [n, m] (e_ii is set to 0, so the anchor is in none
+    of its candidate sets), and its denominators are the suffix sums of P in
+    its plan, read at the first position of each tie group: every positive of
+    one label shares a denominator, so the loss takes m, not n, logs of
+    denominators per row. The backward mirrors this: the gradient of each
+    [n, m] denominator, prefix sums in plan order read at each tie group's
+    last position, broadcast back to [n, n] by column label. Where a distance
+    is 0 (the diagonal, coincident rows) the gradient uses subgradient 0, as
+    ``sqrt`` does.
     """
     a = _lift(a)
-    keys = np.asarray(keys, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] < 2 or keys.shape != (a.shape[0], a.shape[0]):
-        raise ShapeError(f"rank_contrast: need [n, D] with n >= 2 and [n, n] keys, got {a.shape} and {keys.shape}")
-    if np.isnan(keys).any():
-        raise DomainError("rank_contrast: keys contain NaN")
+    labels = np.asarray(labels, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] < 2 or labels.shape != a.shape[:1]:
+        raise ShapeError(f"rank_contrast: need [n, D] with n >= 2 and [n] labels, got {a.shape} and {labels.shape}")
+    if not np.isfinite(labels).all():
+        raise DomainError("rank_contrast: labels must be finite")
     tau = _check_tau("rank_contrast", tau)
     n = a.shape[0]
-    av = a.values
-    # one block of anchor rows at a time, upper triangle only, mirrored below
-    d = np.empty((n, n))
-    for i in range(0, n, _RNC_BLOCK):
-        rows = slice(i, i + _RNC_BLOCK)
-        diff = av[rows, None, :] - av[None, i:, :]
-        d[rows, i:] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        d[i:, rows] = d[rows, i:].T
-    e = np.exp(d * (-1.0 / tau))
+    perm = np.argsort(labels, kind="stable")
+    u, counts = np.unique(labels[perm], return_counts=True)
+    m = len(u)
+    group = np.repeat(np.arange(m), counts)  # each row's label index, in label order
+    rows = np.arange(n)[:, None]
+
+    # the plan of label a: order[a] lists the labels by key |u_a - u_c|, and
+    # first / last give each sorted position the bounds of its tie group
+    keys = np.abs(u[:, None] - u)
+    order = np.argsort(keys, axis=1)
+    sorted_keys = np.take_along_axis(keys, order, axis=1)
+    q = np.arange(m)
+    starts = np.ones((m, m), dtype=bool)
+    starts[:, 1:] = sorted_keys[:, 1:] != sorted_keys[:, :-1]
+    ends = np.ones((m, m), dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    first = np.maximum.accumulate(np.where(starts, q, 0), axis=1)
+    last = np.minimum.accumulate(np.where(ends, q, m - 1)[:, ::-1], axis=1)[:, ::-1]
+    # positives per sorted position: its label's rows, less the anchor at position 0
+    count = counts[order][group].astype(np.float64)
+    count[:, 0] -= 1.0
+
+    av = a.values[perm]
+    d = _row_distances(av)
+    e = np.multiply(d, -1.0 / tau)
+    np.exp(e, out=e)
     if not e.all():
         raise DomainError(f"rank_contrast: exp(-d/tau) underflows to 0 at distance {d.max():.6g} > ~745 * tau ({tau})")
-
-    # flat index of each sorted position, [i, p] -> i * n + (index of the p-th
-    # smallest key of row i); tie groups are contiguous in any sorted order, so
-    # the sort need not be stable
-    flat = np.argsort(keys, axis=1) + np.arange(0, n * n, n)[:, None]
-    sorted_keys = np.take(keys, flat)
-    starts = np.ones(keys.shape, dtype=bool)
-    starts[:, 1:] = sorted_keys[:, 1:] != sorted_keys[:, :-1]
-    ends = np.ones(keys.shape, dtype=bool)
-    ends[:, :-1] = starts[:, 1:]
-    # every row starts a group, so one count over all n * n sorted positions
-    # numbers the groups; `group` holds each entry's number at its unsorted index
-    group = np.empty(n * n, dtype=np.intp)
-    group[flat.ravel()] = np.cumsum(starts) - 1
-    # flat sorted position of the first / last member of each entry's tie group
-    first_at = np.flatnonzero(starts)[group].reshape(n, n)
-    last_at = np.flatnonzero(ends)[group].reshape(n, n)
-
-    denom = np.take(np.cumsum(np.take(e, flat[:, ::-1]), axis=1)[:, ::-1], first_at)
-    ratio = e / denom
-    off_diag = 1.0 - np.eye(n)
+    log_e = np.log(e).sum()  # the diagonal's log(1) is 0
+    np.fill_diagonal(e, 0.0)
+    # e is symmetric, so summing its rows by label gives P transposed, [m, n]
+    p_sorted = np.take(_block_sums(e, counts), order[group] * n + rows)
+    denom = np.take(np.cumsum(p_sorted[:, ::-1], axis=1)[:, ::-1], first[group] + rows * m)
     mean = -1.0 / (n * (n - 1))
 
     def bwd(g):
-        g_log = np.broadcast_to(g * mean, d.shape) * off_diag / ratio
-        g_denom = -g_log * ratio / denom  # not e / denom**2: the square underflows past ~354 * tau
-        # e_ik at sorted index q enters every denominator whose tie group starts
-        # at or before q: all positions up to the end of q's own group
-        g_e = g_log / denom + np.take(np.cumsum(np.take(g_denom, flat), axis=1), last_at)
-        w = np.divide(g_e * e * (-1.0 / tau), d, out=np.zeros_like(d), where=d > 0)
+        g_mean = g * mean
+        # each denominator sums P from its group's first position on, so P at
+        # sorted position p gets every gradient up to the end of p's group
+        g_p = np.take(np.cumsum(g_mean * -count / denom, axis=1), last[group] + rows * m)
+        rank = np.empty_like(order)
+        np.put_along_axis(rank, order, q, axis=1)
+        g_p = np.take(g_p * (-1.0 / tau), rank[group] + rows * m)  # back to label order
+        # d log(e_ij) / d d_ij is -1/tau, and d e_ik / d d_ik is -e_ik / tau
+        w = e * np.take(g_p, group, axis=1)
+        w += g_mean * (-1.0 / tau)
+        w = np.divide(w, d, out=np.zeros_like(d), where=d > 0)
         w = w + w.T
-        return (w.sum(axis=1)[:, None] * av - w @ av,)
+        grad = np.empty_like(av)
+        grad[perm] = w.sum(axis=1)[:, None] * av - w @ av
+        return (grad,)
 
-    return _result("rank_contrast", (np.log(ratio) * off_diag).sum() * mean, (a,), bwd)
+    return _result("rank_contrast", (log_e - (count * np.log(denom)).sum()) * mean, (a,), bwd)
 
 
 def reduce_sum(a, axis=None, keepdims=False):

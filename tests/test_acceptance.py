@@ -127,16 +127,8 @@ def _grad_cases(rng):
         x[-1] = x[0]
         return Tensor(x)
 
-    # the -inf anchor diagonal, tie groups of two and three, and an all-equal row
-    tied_keys = np.array(
-        [
-            [-np.inf, 2.0, 0.5, 0.5, 1.0],
-            [1.0, -np.inf, 3.0, 1.0, 1.0],
-            [2.0, 2.0, -np.inf, 2.0, 2.0],
-            [0.5, 1.0, 1.5, -np.inf, 0.0],
-            [1.0, 1.0, 0.0, 2.0, -np.inf],
-        ]
-    )
+    # label distances with tie groups of two and three and an all-equal row
+    tied_labels = np.array([0.0, 1.0, -1.0, 1.0, 1.0])
 
     def attend_stage(q_shape, kv_shape, vary):
         # operands not named in `vary` (of "qkv") are held constant
@@ -165,7 +157,7 @@ def _grad_cases(rng):
         "softmax": lambda: (lambda p: softmax(p[0]).square().sum(), [t((3, 4))]),
         "sum": lambda: (lambda p: p[0].sum(axis=0).square().sum(), [t((3, 4))]),
         "mean": lambda: (lambda p: (p[0] - p[0].mean(axis=1, keepdims=True)).square().sum(), [t((3, 4))]),
-        "rank_contrast": lambda: (lambda p: rank_contrast(p[0], tied_keys, 1.3), [coincident((5, 3))]),
+        "rank_contrast": lambda: (lambda p: rank_contrast(p[0], tied_labels, 1.3), [coincident((5, 3))]),
     }
 
     def cross_attend_case():

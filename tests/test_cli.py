@@ -1,8 +1,12 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ import pytest
 from modalflow.cli import main
 from modalflow.data import load_dataset, save_dataset, write_tensor
 from modalflow.training import load_checkpoint
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY = {
     "synth": {
@@ -112,6 +118,45 @@ def test_set_override_changes_run(workdir, tmp_path, capsys):
     assert len(history) == 2  # header + single epoch
     echoed = json.loads((out / "config.json").read_text())
     assert echoed["train"]["epochs"] == 1
+
+
+def test_train_on_features_near_1e200_fails_with_a_named_error(workdir, tmp_path, capsys):
+    # the representations' squared distances overflow: rank_contrast refuses
+    # them by name instead of returning NaN or blaming an underflow
+    data = tmp_path / "data"
+    assert main(["gen-data", "--config", str(workdir["config"]), "--out", str(data), "--set", "synth.noise_t=1e200"]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the task loss overflows first, with a RuntimeWarning
+        code = main(["train", "--config", str(workdir["config"]), "--data", str(data), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "distance is not finite" in err and "Traceback" not in err
+
+
+def test_train_is_bit_exact_across_blas_threads(tmp_path):
+    """`train` in subprocesses with OpenBLAS on 1 and on 2 threads writes the
+    same bytes. Batch 128 gives rank_contrast a [256, 32] x [32, 256] GEMM."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "synth": {**TINY["synth"], "n_train": 256},
+        "model": {"dim": 32, "mia_hidden": 16},
+        "train": {"epochs": 2, "patience": 2, "batch_size": 128},
+    }))
+    assert main(["gen-data", "--config", str(config), "--out", str(tmp_path / "data")]) == 0
+    src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    runs = {}
+    for threads in ("1", "2"):
+        run = tmp_path / f"run{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "modalflow", "train", "--config", str(config), "--data", str(tmp_path / "data"),
+             "--out", str(run)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs[threads] = [(run / rel).read_bytes() for rel in ("history.csv", "checkpoint/params.bin")]
+    assert runs["1"] == runs["2"]
 
 
 def test_model_shape_keys_are_unknown(workdir, tmp_path, capsys):

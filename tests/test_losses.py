@@ -145,10 +145,11 @@ def test_rnc_with_label_ties(rng):
 
 def test_rnc_matches_oracle_with_large_tie_groups(rng):
     # labels on a 3-value grid put many samples at one label distance; all-equal
-    # labels make every candidate set the whole batch minus the anchor
+    # labels make every candidate set the whole batch minus the anchor; a
+    # MOSEI-like 1/3 grid on [-3, 3] has up to 19 values, not twinned
     for n in (2, 3, 5, 8, 16, 32):
         grid = rng.choice([-1.5, 0.0, 2.0], n)
-        for labels in (np.concatenate([grid] * 2), np.full(2 * n, 0.7)):
+        for labels in (np.concatenate([grid] * 2), np.full(2 * n, 0.7), rng.integers(-9, 10, 2 * n) / 3):
             reps = rng.normal(size=(2 * n, 3))
             tau = float(rng.uniform(0.5, 4.0))
             got = rnc_loss(Tensor(reps), labels, tau).item()

@@ -17,10 +17,11 @@ from builders import (
     composed_weighted_sum,
 )
 from modalflow.tensor import (
-    _RNC_BLOCK,
+    _RNC_NEAR,
     DomainError,
     ShapeError,
     Tensor,
+    _row_distances,
     affine,
     ancestors,
     attend,
@@ -200,9 +201,9 @@ def test_backward_rejects_detached_loss():
         lambda: narrow(Tensor(np.ones((2, 3))), 1, 2, 5),
         lambda: concat([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))], axis=1),
         lambda: attend(Tensor(np.ones((5, 2, 3))), Tensor(np.ones((2, 4, 3))), Tensor(np.ones((2, 4, 3))), 1.0),
-        lambda: rank_contrast(Tensor(np.ones((2, 3))), np.zeros((3, 2)), 1.0),
-        lambda: rank_contrast(Tensor(np.ones(3)), np.zeros((3, 3)), 1.0),
-        lambda: rank_contrast(Tensor(np.ones((1, 3))), np.zeros((1, 1)), 1.0),
+        lambda: rank_contrast(Tensor(np.ones((2, 3))), np.zeros(3), 1.0),
+        lambda: rank_contrast(Tensor(np.ones(3)), np.zeros(3), 1.0),
+        lambda: rank_contrast(Tensor(np.ones((1, 3))), np.zeros(1), 1.0),
         lambda: affine(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), Tensor(np.ones(2))),
         lambda: affine(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones((1, 2)))),
         lambda: affine(Tensor(np.ones((2, 3))), Tensor(np.ones((1, 3, 2))), Tensor(np.ones(2))),
@@ -236,38 +237,40 @@ def test_attend_rejects_non_positive_temperature(tau):
         attend(Tensor(np.ones((1, 2))), Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))), tau)
 
 
-def _masked_loop_loss(a, keys, tau):
+def _masked_loop_loss(a, labels, tau):
+    """The loss over a mask per anchor: candidates k != i with a label
+    distance at least the positive's."""
     n = len(a)
     e = np.exp(-np.linalg.norm(a[:, None, :] - a[None, :, :], axis=-1) / tau)
+    keys = np.abs(labels[:, None] - labels[None, :])
     total = 0.0
     for i, row in enumerate(keys):
+        others = np.arange(n) != i
         for j, key in enumerate(row):
             if j != i:
-                total += np.log(e[i, j] / e[i][row >= key].sum())
+                total += np.log(e[i, j] / e[i][(row >= key) & others].sum())
     return total * (-1.0 / (n * (n - 1)))
 
 
 def test_rank_contrast_matches_masked_loop(rng):
     a = _coincident_rows(rng)[0].values
-    want = _masked_loop_loss(a, TIED_KEYS, 1.3)
-    assert abs(rank_contrast(Tensor(a), TIED_KEYS, 1.3).item() - want) < 1e-12
+    want = _masked_loop_loss(a, TIED_LABELS, 1.3)
+    assert abs(rank_contrast(Tensor(a), TIED_LABELS, 1.3).item() - want) < 1e-12
 
 
 def test_rank_contrast_matches_masked_loop_across_blocks(rng):
-    a, keys = _multi_block_case(rng)
-    want = _masked_loop_loss(a.values, keys, 1.3)
-    assert abs(rank_contrast(a, keys, 1.3).item() - want) < 1e-12
+    a, labels = _multi_block_case(rng)
+    want = _masked_loop_loss(a.values, labels, 1.3)
+    assert abs(rank_contrast(a, labels, 1.3).item() - want) < 1e-12
 
 
 def test_rank_contrast_memory_below_one_difference_array(rng):
     n, dim = 256, 256
     a = Tensor(rng.normal(size=(n, dim)), requires_grad=True)
     labels = rng.uniform(-3, 3, n)
-    keys = np.abs(labels[:, None] - labels[None, :])
-    np.fill_diagonal(keys, -np.inf)
     tracemalloc.start()
     try:
-        backward(rank_contrast(a, keys, 2.0))
+        backward(rank_contrast(a, labels, 2.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -275,23 +278,80 @@ def test_rank_contrast_memory_below_one_difference_array(rng):
 
 
 @pytest.mark.parametrize(
-    "keys, tau",
-    [(np.where(np.eye(4) > 0, np.nan, 1.0), 1.0), (np.ones((4, 4)), 0.0), (np.ones((4, 4)), np.nan)],
+    "labels, tau",
+    [(np.array([0.0, np.nan, 1.0, 1.0]), 1.0), (np.ones(4), 0.0), (np.ones(4), np.nan)],
     ids=["nan_key", "zero_tau", "nan_tau"],
 )
-def test_rank_contrast_domain_errors(keys, tau):
+def test_rank_contrast_domain_errors(labels, tau):
+    # a NaN label makes NaN keys |y_i - y_k| in its row and column
     with pytest.raises(DomainError):
-        rank_contrast(Tensor(np.ones((4, 2))), keys, tau)
+        rank_contrast(Tensor(np.ones((4, 2))), labels, tau)
 
 
 def test_rank_contrast_underflow_domain_error():
     # at tau = 2, exp(-1600 / 2) is 0 in float64: a numerator and its whole
     # denominator vanish, which the log of their ratio cannot take
     labels = np.array([0.0, 1.0, 0.0, 1.0])
-    keys = np.abs(labels[:, None] - labels[None, :])
-    np.fill_diagonal(keys, -np.inf)
     with pytest.raises(DomainError, match="underflows"):
-        rank_contrast(Tensor(np.array([[0.0], [1600.0], [0.5], [1600.5]])), keys, 2.0)
+        rank_contrast(Tensor(np.array([[0.0], [1600.0], [0.5], [1600.5]])), labels, 2.0)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.array([[0.0, 1.0], [np.inf, 0.0], [1.0, 1.0]]),
+        np.array([[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]]),
+        np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1e200]]),
+    ],
+    ids=["inf_row", "nan_row", "d2_overflows"],
+)
+def test_rank_contrast_non_finite_distance_domain_error(rows):
+    # rows ~1e200 apart are finite, but their squared distance is not
+    with pytest.raises(DomainError, match="distance is not finite"):
+        rank_contrast(Tensor(rows), np.array([0.0, 1.0, 2.0]), 2.0)
+
+
+def _distance_case(kind, seed, n, dim):
+    """Rows whose pairwise distances the Gram form alone gets wrong."""
+    rng = np.random.default_rng(seed)
+    if kind == "norms":  # row norms from 1e-6 to 1e6
+        return rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-6, 6, (n, 1))
+    if kind == "clusters":  # two clusters far apart, each within 1e-6: centring alone fails
+        centre = rng.normal(size=dim) * 10.0 ** rng.uniform(0, 6)
+        steps = rng.normal(size=(n, dim))
+        steps *= 4e-7 / np.linalg.norm(steps, axis=1, keepdims=True)
+        return np.where(np.arange(n)[:, None] % 2 == 0, centre, -centre) + steps
+    a = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-6, 6)  # coincident rows
+    a[rng.integers(0, n, n // 2)] = a[0]
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["norms", "clusters", "coincident"]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    dim=st.integers(1, 6),
+)
+def test_row_distances_within_the_stated_bound(kind, seed, n, dim):
+    a = _distance_case(kind, seed, n, dim)
+    d = _row_distances(a)
+    want = np.sqrt(((a[:, None, :] - a[None, :, :]) ** 2).sum(axis=-1))
+    assert (d == d.T).all() and not np.diag(d).any()
+    bound = (dim + 2) * 2.0**-53 / _RNC_NEAR
+    assert (np.abs(d - want) <= bound * want).all(), np.max(np.abs(d - want) / np.where(want > 0, want, 1))
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [np.random.default_rng(3).integers(-9, 10, 256) / 3, np.full(256, 1 / 3)],
+    ids=["third_grid", "all_equal"],
+)
+def test_rank_contrast_matches_masked_loop_for_coarse_labels(rng, labels):
+    # a MOSEI-like grid of at most 19 values, and one label (m = 1)
+    a = rng.normal(size=(256, 4))
+    want = _masked_loop_loss(a, labels, 1.3)
+    assert abs(rank_contrast(Tensor(a), labels, 1.3).item() - want) < 1e-12
 
 
 def test_sqrt_subgradient_zero_at_cusp():
@@ -339,20 +399,14 @@ def _points(rng, *shapes, positive=False):
     return out
 
 
-# the -inf anchor diagonal, tie groups of two and three, and an all-equal row
-TIED_KEYS = np.array(
-    [
-        [-np.inf, 2.0, 0.5, 0.5, 1.0],
-        [1.0, -np.inf, 3.0, 1.0, 1.0],
-        [2.0, 2.0, -np.inf, 2.0, 2.0],
-        [0.5, 1.0, 1.5, -np.inf, 0.0],
-        [1.0, 1.0, 0.0, 2.0, -np.inf],
-    ]
-)
+# label distances |y_i - y_k| with tie groups of two and three and an
+# all-equal row: row 0 is 1 everywhere, row 1 ties its two label-1 peers at 0,
+# row 2 ties three columns at 2, and label 0's plan ties labels -1 and 1
+TIED_LABELS = np.array([0.0, 1.0, -1.0, 1.0, 1.0])
 
 
-# distinct keys in every row, -inf on the diagonal: no tie groups
-DISTINCT_KEYS = np.where(np.eye(5, dtype=bool), -np.inf, (np.arange(5)[None, :] - np.arange(5)[:, None]) % 5)
+# distinct label distances in every row: no tie groups
+DISTINCT_LABELS = np.array([0.0, 1.0, 3.0, 7.0, 15.0])
 
 
 def _coincident_rows(rng):
@@ -363,24 +417,20 @@ def _coincident_rows(rng):
 
 
 def _multi_block_case(rng):
-    """19 points in 3-D and tied keys: rank_contrast's distance loop takes them
-    in blocks of _RNC_BLOCK rows, three here with a ragged last one. Rows 1 and
-    17, and rows 3 and 9, coincide across blocks; the keys are label distances
-    on a 3-value grid with the -inf anchor diagonal."""
+    """19 points in 3-D with labels on a 3-value grid, so each label holds
+    several rows and rank_contrast sums them over more than one pairwise
+    pass. Rows 1 and 17, and rows 3 and 9, coincide."""
     n = 19
-    assert n > 2 * _RNC_BLOCK and n % _RNC_BLOCK
     a = rng.normal(size=(n, 3))
     a[17] = a[1]
     a[9] = a[3]
     labels = rng.choice([-1.0, 0.0, 1.5], n)
-    keys = np.abs(labels[:, None] - labels[None, :])
-    np.fill_diagonal(keys, -np.inf)
-    return Tensor(a), keys
+    return Tensor(a), labels
 
 
 def _rank_contrast_across_blocks(rng):
-    a, keys = _multi_block_case(rng)
-    return (lambda p: rank_contrast(p[0], keys, 1.3)), [a]
+    a, labels = _multi_block_case(rng)
+    return (lambda p: rank_contrast(p[0], labels, 1.3)), [a]
 
 
 def _attend_stage(rng, q_shape, kv_shape, vary):
@@ -446,9 +496,9 @@ PRIMITIVE_CASES = {
     "mean_keepdims": lambda r: (lambda p: (p[0] - p[0].mean(axis=1, keepdims=True)).square().sum(), _points(r, (3, 4))),
     # rank_contrast's two stages one at a time, then together: the suffix sums
     # over tie groups (generic rows), the distances at d = 0 (no ties), both
-    "suffix_sum": lambda r: (lambda p: rank_contrast(p[0], TIED_KEYS, 1.3), _points(r, (5, 3))),
-    "pairwise_dist": lambda r: (lambda p: rank_contrast(p[0], DISTINCT_KEYS, 1.3), _coincident_rows(r)),
-    "rank_contrast": lambda r: (lambda p: rank_contrast(p[0], TIED_KEYS, 1.3), _coincident_rows(r)),
+    "suffix_sum": lambda r: (lambda p: rank_contrast(p[0], TIED_LABELS, 1.3), _points(r, (5, 3))),
+    "pairwise_dist": lambda r: (lambda p: rank_contrast(p[0], DISTINCT_LABELS, 1.3), _coincident_rows(r)),
+    "rank_contrast": lambda r: (lambda p: rank_contrast(p[0], TIED_LABELS, 1.3), _coincident_rows(r)),
     "rank_contrast_blocks": _rank_contrast_across_blocks,
     # the fused blocks, at the layouts the training step uses them in
     "cross_attention": lambda r: (
